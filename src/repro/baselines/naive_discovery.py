@@ -36,7 +36,7 @@ from repro.sim.engine import StepOutcome, resolve_varying
 from repro.sim.environment import (
     SpectrumEnvironment,
     build_column_lut,
-    sentinel_columns,
+    gather_occupancy,
 )
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
@@ -161,11 +161,9 @@ class NaiveDiscovery:
                 # every slot, so the mask is gathered per (slot, node)
                 # rather than per fixed-channel step.
                 occupied = traffic.occupied_block(batch)
-                cols = sentinel_columns(lut[0], lut[1], channels)
-                clear = np.zeros((batch, 1), dtype=bool)
-                jammed = np.take_along_axis(
-                    np.concatenate([occupied, clear], axis=1), cols, 1
-                )
+                jammed = gather_occupancy(
+                    occupied[:, None, :], lut, channels
+                )[:, 0, :]
                 outcome = StepOutcome(
                     heard_from=np.where(jammed, -1, outcome.heard_from),
                     contenders=outcome.contenders,

@@ -24,11 +24,11 @@ bolted onto CSEEK:
 Three models ship:
 
 * :class:`MarkovTraffic` — per-channel ON/OFF Markov chains with a
-  target stationary occupancy and geometric dwell times. Batched over
-  the trial axis, bit-identical per trial to the sequential
-  :class:`~repro.sim.interference.PrimaryUserTraffic` stream it
-  replaces (pinned in ``tests/test_environment.py``). Bursty: a single
-  long ON burst can erase a whole meeting step.
+  target stationary occupancy and geometric dwell times. A block of
+  any length advances every trial x channel chain in one closed-form
+  scan (:func:`markov_run`), bit-identical to the per-slot recurrence
+  kept as the oracle in ``tests/test_environment.py``. Bursty: a
+  single long ON burst can erase a whole meeting step.
 * :class:`PoissonTraffic` — memoryless per-slot occupancy (each channel
   occupied independently each slot with probability ``activity``).
   Same stationary occupancy as a Markov model with ``mean_dwell``
@@ -61,6 +61,7 @@ __all__ = [
     "StaticMask",
     "TrafficStream",
     "make_environment",
+    "markov_run",
 ]
 
 ENVIRONMENT_MODELS = ("markov", "poisson", "static")
@@ -109,36 +110,103 @@ def _validated_activity(
     return vector
 
 
-def build_column_lut(
-    channel_ids: Sequence[int],
-) -> "tuple[np.ndarray, int]":
-    """``(lut, max_id)`` mapping global channel id -> occupancy column.
+def build_column_lut(channel_ids: Sequence[int]) -> np.ndarray:
+    """Lookup table mapping global channel id ``g`` -> occupancy column.
 
     ``lut[g + 1]`` is the column of managed channel ``g``; every other
-    index (idle ``-1`` included) maps to the sentinel column
-    ``len(channel_ids)``, which callers keep permanently clear. Shared
-    by :class:`TrafficStream` and the legacy
-    :class:`~repro.sim.interference.PrimaryUserTraffic` so the gather
-    semantics cannot drift apart.
+    entry (``lut[0]`` for idle ``-1`` included) holds ``len(channel_ids)``,
+    a column past the block, so :func:`gather_occupancy` reads it as
+    never occupied.
     """
     ids = np.asarray(list(channel_ids), dtype=np.int64)
-    max_id = int(ids[-1]) if ids.size else -1
-    lut = np.full(max_id + 2, ids.size, dtype=np.int64)
-    if ids.size:
-        lut[ids + 1] = np.arange(ids.size)
-    return lut, max_id
+    lut = np.full((ids[-1] if ids.size else -1) + 2, ids.size, np.int64)
+    lut[ids + 1] = np.arange(ids.size)
+    return lut
 
 
-def sentinel_columns(
-    lut: np.ndarray, max_id: int, channels: np.ndarray
+def gather_occupancy(
+    occupied: np.ndarray, column_lut: np.ndarray, channels: np.ndarray
 ) -> np.ndarray:
-    """Occupancy columns for per-node channels, sentinel for the rest.
+    """Per-node occupancy: ``(R, S, n)`` from ``(R, S, C)`` blocks.
 
-    ``channels`` may carry ``-1`` (idle) and ids outside the managed
-    set; both land on the sentinel column.
+    ``channels`` is ``(n,)`` (shared by every row) or ``(R, n)``;
+    ``out[r, s, j]`` is ``occupied[r, s, column of channels[r, j]]``,
+    with idle nodes (``-1``) and channels outside the managed set read
+    as clear. A masked gather with no sentinel-column copy: a shared
+    row indexes the channel axis directly, per-row channels take one
+    flat-index gather.
     """
-    managed = (channels >= 0) & (channels <= max_id)
-    return lut[np.where(managed, channels, -1) + 1]
+    rows, slots, width = occupied.shape
+    in_range = (channels >= 0) & (channels < column_lut.size - 1)
+    cols = column_lut[np.where(in_range, channels + 1, 0)]
+    managed = cols < width
+    if width == 0:
+        return np.zeros((rows, slots, channels.shape[-1]), dtype=bool)
+    cols[~managed] = 0
+    if channels.ndim == 1:
+        gathered = occupied[..., cols]
+    else:
+        cols += np.arange(0, rows * slots * width, slots * width)[:, None]
+        step = np.arange(0, slots * width, width)[:, None]
+        gathered = occupied.ravel()[cols[:, None, :] + step]
+    # Indexing the last axis lays its result out node-major; order="C"
+    # hands consumers the row-major mask they scan slot by slot.
+    return np.logical_and(gathered, managed[..., None, :], order="C")
+
+
+def markov_run(
+    state: np.ndarray,
+    flips: np.ndarray,
+    on_prob: "float | np.ndarray",
+    off_prob: float,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Advance ``(B, C)`` ON/OFF chains through ``(B, T, C)`` uniforms.
+
+    The per-slot rule ``s_t = f_t >= off_prob if s_{t-1} else
+    f_t < on_prob`` either *resets* (both branches agree, so the slot
+    forgets the past), *toggles* (``f_t`` below both thresholds) or
+    *holds*. Slot ``t`` therefore equals the value at the last reset
+    XOR the parity of toggles since. Each chain becomes a row of
+    ``T + 1`` cells whose first cell resets to the carried-in state;
+    one flat XOR scan gives the parity and one flat max scan over codes
+    ``2 * (index + 1) + (value ^ parity)`` at reset cells forward-fills
+    the last reset, neither leaking across rows. ``on_prob`` is a
+    scalar or a per-channel ``(C,)`` vector.
+
+    Returns ``(occupancy (B, T, C), final state (B, C))``.
+    """
+    trials, num_slots, width = flips.shape
+    below_on = flips < on_prob
+    below_off = flips < off_prob
+    reset, toggle, value = np.empty((3, trials, width, num_slots + 1), bool)
+    reset[..., 0], toggle[..., 0], value[..., 0] = True, False, state
+    np.not_equal(below_on, below_off, out=reset[..., 1:].transpose(0, 2, 1))
+    np.logical_and(below_on, below_off, out=toggle[..., 1:].transpose(0, 2, 1))
+    value[..., 1:] = below_on.transpose(0, 2, 1)
+    parity = np.logical_xor.accumulate(toggle.ravel())
+    cells = parity.size
+    dtype = np.int32 if cells < 2**29 else np.int64
+    code = np.arange(2, 2 * cells + 2, 2, dtype=dtype)
+    code |= value.ravel() ^ parity
+    code *= reset.ravel()
+    np.maximum.accumulate(code, out=code)
+    run = ((code & 1).astype(bool) ^ parity).reshape(reset.shape)
+    occupancy = np.ascontiguousarray(run[..., 1:].transpose(0, 2, 1))
+    return occupancy, run[..., -1].copy()
+
+
+def _draw_uniform(
+    rngs: Sequence[np.random.Generator], num_slots: int, num_channels: int
+) -> np.ndarray:
+    """``(B, num_slots, C)`` uniforms, trial ``b`` drawn from ``rngs[b]``.
+
+    Byte-identical to stacking ``rng.random((num_slots, C))`` per trial,
+    without the stack copy.
+    """
+    flips = np.empty((len(rngs), num_slots, num_channels))
+    for rng, block in zip(rngs, flips):
+        rng.random(out=block)
+    return flips
 
 
 class TrafficStream(ABC):
@@ -158,9 +226,7 @@ class TrafficStream(ABC):
             channel_ids, allow_empty=True
         )
         self.num_trials = num_trials
-        self._column_lut, self._max_id = build_column_lut(
-            self.channel_ids
-        )
+        self._column_lut = build_column_lut(self.channel_ids)
 
     @property
     def num_channels(self) -> int:
@@ -199,26 +265,12 @@ class TrafficStream(ABC):
         """
         occupied = self.occupied_block(num_slots)
         channels = np.asarray(channels)
-        if channels.ndim == 1:
-            channels = np.broadcast_to(
-                channels, (self.num_trials, channels.shape[0])
-            )
-        elif channels.shape[0] != self.num_trials:
+        if channels.ndim == 2 and channels.shape[0] != self.num_trials:
             raise ProtocolError(
                 f"channels covers {channels.shape[0]} trials, stream "
                 f"has {self.num_trials}"
             )
-        cols = sentinel_columns(self._column_lut, self._max_id, channels)
-        # Sentinel column C is all-clear; a single gather replaces the
-        # old per-node loop.
-        extended = np.concatenate(
-            [
-                occupied,
-                np.zeros(occupied.shape[:2] + (1,), dtype=bool),
-            ],
-            axis=2,
-        )
-        return np.take_along_axis(extended, cols[:, None, :], axis=2)
+        return gather_occupancy(occupied, self._column_lut, channels)
 
 
 class _SerialStream:
@@ -298,15 +350,14 @@ class SpectrumEnvironment(ABC):
 class MarkovTraffic(SpectrumEnvironment):
     """Per-channel ON/OFF Markov chains (bursty licensed traffic).
 
-    The batched refactor of
-    :class:`~repro.sim.interference.PrimaryUserTraffic`: each channel
-    is an independent ON/OFF chain with target stationary occupancy
-    ``activity`` and geometric ON bursts of mean ``mean_dwell`` slots.
-    Streams stack each trial's flip blocks and run the ON/OFF
-    recurrence once, vectorized over trials x channels — per trial
-    bit-identical to the legacy sequential stream (same generator, same
-    draw order), so swapping the environment in changes throughput, not
-    results.
+    Each channel is an independent ON/OFF chain with target stationary
+    occupancy ``activity`` and geometric ON bursts of mean
+    ``mean_dwell`` slots. Streams draw each trial's uniforms into one
+    ``(B, T, C)`` block and advance every chain through it with one
+    closed-form :func:`markov_run` scan — per trial bit-identical to
+    :class:`~repro.sim.interference.PrimaryUserTraffic` (same
+    generator, same draw order, same kernel), so swapping the
+    environment in changes throughput, not results.
 
     Feasibility: the OFF->ON probability needed for stationarity
     saturates at 1, capping reachable occupancy at
@@ -396,25 +447,11 @@ class _MarkovStream(TrafficStream):
 
     def occupied_block(self, num_slots: int) -> np.ndarray:
         self._check_slots(num_slots)
-        # Per-trial flip blocks keep each generator's draw order
-        # identical to the sequential stream; the recurrence then runs
-        # once over the (B, C) state, not once per trial.
-        flips = np.stack(
-            [rng.random((num_slots, self.num_channels))
-             for rng in self._rngs]
+        flips = _draw_uniform(self._rngs, num_slots, self.num_channels)
+        occupancy, self._state = markov_run(
+            self._state, flips, self._on_prob, self._off_prob
         )
-        out = np.empty(
-            (self.num_trials, num_slots, self.num_channels), dtype=bool
-        )
-        state = self._state
-        for t in range(num_slots):
-            f = flips[:, t]
-            turn_off = state & (f < self._off_prob)
-            turn_on = ~state & (f < self._on_prob)
-            state = (state & ~turn_off) | turn_on
-            out[:, t] = state
-        self._state = state
-        return out
+        return occupancy
 
 
 class PoissonTraffic(SpectrumEnvironment):
@@ -459,10 +496,8 @@ class _PoissonStream(TrafficStream):
 
     def occupied_block(self, num_slots: int) -> np.ndarray:
         self._check_slots(num_slots)
-        return np.stack(
-            [rng.random((num_slots, self.num_channels)) < self._activity
-             for rng in self._rngs]
-        )
+        flips = _draw_uniform(self._rngs, num_slots, self.num_channels)
+        return flips < self._activity
 
 
 class StaticMask(SpectrumEnvironment):

@@ -12,14 +12,16 @@ slack CSEEK's w.h.p. budgets leave (experiment E11).
 :class:`PrimaryUserTraffic` models each channel as an independent
 ON/OFF Markov chain with a target stationary occupancy (``activity``)
 and geometric dwell times (``mean_dwell`` slots per ON burst),
-generating occupancy sequentially so protocol executions consume it
-slot by slot, reproducibly from one seed.
+producing occupancy as a stream so protocol executions consume it
+block by block, reproducibly from one seed.
 
 This class predates the pluggable spectrum-environment subsystem
-(:mod:`repro.sim.environment`) and remains as the sequential reference
-implementation its batched :class:`~repro.sim.environment.MarkovTraffic`
-refactor is pinned against (``jammer=`` on the protocols still accepts
-it). New code should construct a
+(:mod:`repro.sim.environment`) and remains as a thin single-trial view
+of :class:`~repro.sim.environment.MarkovTraffic` seeded directly by
+``seed`` (``jammer=`` on the protocols still accepts it); both advance
+their chains with the one closed-form
+:func:`~repro.sim.environment.markov_run` scan. New code should
+construct a
 :class:`~repro.sim.environment.SpectrumEnvironment` instead — the
 environment serves serial and trial-batched execution alike and opens
 the door to non-Markovian traffic models.
@@ -29,15 +31,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.model.errors import ProtocolError
-from repro.sim.environment import build_column_lut, sentinel_columns
+from repro.sim.environment import MarkovTraffic, _SerialStream
 
 __all__ = ["PrimaryUserTraffic"]
 
 
-class PrimaryUserTraffic:
+class PrimaryUserTraffic(_SerialStream):
     """Sequential ON/OFF occupancy over a set of global channels.
 
     Args:
@@ -56,6 +55,10 @@ class PrimaryUserTraffic:
     realized occupancy plateaus at that cap. The
     :attr:`realized_activity` property reports the stationary fraction
     the chain actually attains.
+
+    ``occupied_block(num_slots)`` returns ``(num_slots, num_channels)``
+    occupancy; ``jam_mask(channels, num_slots)`` the ``(num_slots, n)``
+    per-node kill mask (idle ``-1`` and unmanaged channels never jam).
     """
 
     def __init__(
@@ -65,42 +68,12 @@ class PrimaryUserTraffic:
         mean_dwell: float = 8.0,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= activity < 1.0:
-            raise ProtocolError(
-                f"activity must be in [0, 1), got {activity}"
-            )
-        if mean_dwell < 1.0:
-            raise ProtocolError(
-                f"mean_dwell must be >= 1 slot, got {mean_dwell}"
-            )
-        ids = sorted(set(int(g) for g in channel_ids))
-        if not ids:
-            raise ProtocolError("need at least one channel id")
-        if any(g < 0 for g in ids):
-            raise ProtocolError("channel ids must be non-negative")
-        self.channel_ids = ids
+        self._env = MarkovTraffic(
+            channel_ids, activity, mean_dwell=mean_dwell, seed_offset=0
+        )
+        super().__init__(self._env.streams([seed]))
         self.activity = activity
         self.mean_dwell = mean_dwell
-        # One gather implementation with the environment subsystem:
-        # built once here, applied every step in jam_mask.
-        self._column_lut, self._max_id = build_column_lut(ids)
-        self._rng = np.random.default_rng(seed)
-        # ON -> OFF with prob 1/dwell; OFF -> ON tuned for stationarity:
-        # p = on_rate / (on_rate + off_rate).
-        self._off_prob = 1.0 / mean_dwell
-        if activity == 0.0:
-            self._on_prob = 0.0
-        else:
-            self._on_prob = min(
-                1.0, activity * self._off_prob / (1.0 - activity)
-            )
-        # Start at stationarity.
-        self._state = self._rng.random(len(ids)) < activity
-
-    @property
-    def num_channels(self) -> int:
-        """Channels under primary-user control."""
-        return len(self.channel_ids)
 
     @property
     def realized_activity(self) -> float:
@@ -110,49 +83,4 @@ class PrimaryUserTraffic:
         requested dwell, and the ``mean_dwell / (mean_dwell + 1)`` cap
         otherwise (see the class docstring).
         """
-        if self._on_prob == 0.0:
-            return 0.0
-        return self._on_prob / (self._on_prob + self._off_prob)
-
-    def occupied_block(self, num_slots: int) -> np.ndarray:
-        """Advance the chains; return ``(num_slots, num_channels)`` bool.
-
-        Column order matches ``self.channel_ids``.
-        """
-        if num_slots < 1:
-            raise ProtocolError(f"num_slots must be >= 1, got {num_slots}")
-        out = np.empty((num_slots, self.num_channels), dtype=bool)
-        state = self._state
-        flips = self._rng.random((num_slots, self.num_channels))
-        for t in range(num_slots):
-            turn_off = state & (flips[t] < self._off_prob)
-            turn_on = ~state & (flips[t] < self._on_prob)
-            state = (state & ~turn_off) | turn_on
-            out[t] = state
-        self._state = state
-        return out
-
-    def jam_mask(
-        self, channels: np.ndarray, num_slots: int
-    ) -> np.ndarray:
-        """Per-node reception-kill mask for a fixed-channel step.
-
-        Args:
-            channels: ``(n,)`` global channel per node (``-1`` idle;
-                idle nodes are never jammed — they hear nothing anyway).
-            num_slots: Step length; the traffic advances by this much.
-
-        Returns:
-            ``(num_slots, n)`` boolean; True where the node's channel is
-            occupied that slot. Channels outside the primary users'
-            set are never occupied.
-        """
-        occupied = self.occupied_block(num_slots)
-        channels = np.asarray(channels)
-        # Channel-column gather through the precomputed LUT: the
-        # sentinel column is never occupied (no per-node Python loop).
-        cols = sentinel_columns(self._column_lut, self._max_id, channels)
-        extended = np.concatenate(
-            [occupied, np.zeros((num_slots, 1), dtype=bool)], axis=1
-        )
-        return extended[:, cols]
+        return self._env.realized_activity

@@ -1,18 +1,21 @@
 """The spectrum-environment subsystem (repro.sim.environment).
 
-Three invariant families: (1) the batched ``MarkovTraffic`` recurrence
-is bit-identical, per trial, to the legacy sequential
-``PrimaryUserTraffic`` stream it refactors; (2) the gather-based
-``jam_mask`` equals the old per-node loop on every channel shape; and
-(3) the protocol layer produces identical results whether traffic
-arrives via ``environment=``, the deprecated ``jammer=`` alias, or the
-trial-batched runner.
+Three invariant families: (1) the closed-form ``markov_run`` scan
+behind ``MarkovTraffic`` and ``PrimaryUserTraffic`` is bit-identical to
+the per-slot ON/OFF recurrence it replaced (kept below as the oracle),
+and the batched stream matches the single-trial one per trial; (2) the
+gather-based ``jam_mask`` equals the old per-node loop on every channel
+shape; and (3) the protocol layer produces identical results whether
+traffic arrives via ``environment=``, the deprecated ``jammer=`` alias,
+or the trial-batched runner.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import CGCast, CSeek, CSeekBatch, batched_discovery
 from repro.model import ProtocolError
@@ -23,6 +26,7 @@ from repro.sim import (
     StaticMask,
     make_environment,
 )
+from repro.sim.environment import markov_run
 
 IDS = [2, 5, 9, 14]
 SEEDS = [3, 17, 99]
@@ -40,8 +44,118 @@ def reference_jam_mask(occupied, channel_ids, channels):
     return mask
 
 
+def reference_markov_run(state, flips, on_prob, off_prob):
+    """The pre-scan per-slot ON/OFF recurrence, kept as the test oracle.
+
+    ``state`` is ``(B, C)``, ``flips`` ``(B, T, C)``; returns the
+    ``(B, T, C)`` occupancy and the carried-out state.
+    """
+    out = np.empty(flips.shape, dtype=bool)
+    for t in range(flips.shape[1]):
+        f = flips[:, t]
+        turn_off = state & (f < off_prob)
+        turn_on = ~state & (f < on_prob)
+        state = (state & ~turn_off) | turn_on
+        out[:, t] = state
+    return out, state
+
+
+def on_probabilities(activity, dwell):
+    """Per-channel OFF->ON probabilities, as ``MarkovTraffic`` tunes them."""
+    env = MarkovTraffic(
+        list(range(len(activity))), activity=activity, mean_dwell=dwell
+    )
+    return env._on_prob, env._off_prob
+
+
+@st.composite
+def markov_case(draw):
+    """Random chains, with uniforms that often sit exactly on a threshold.
+
+    Activities mix zero, ``on < off``, ``on == off`` and saturated
+    ``on = 1 > off`` channels in one per-channel vector.
+    """
+    trials = draw(st.integers(1, 4))
+    slots = draw(st.integers(1, 40))
+    width = draw(st.integers(1, 5))
+    dwell = draw(st.sampled_from([1.0, 1.5, 8.0]))
+    activity = draw(
+        st.lists(
+            st.sampled_from([0.0, 0.05, 0.5, 0.9, 0.99]),
+            min_size=width,
+            max_size=width,
+        )
+    )
+    on_prob, off_prob = on_probabilities(activity, dwell)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flips = rng.random((trials, slots, width))
+    ties = np.concatenate([[0.0, off_prob, np.nextafter(1.0, 0.0)], on_prob])
+    flips = np.where(
+        rng.random(flips.shape) < 0.3, rng.choice(ties, flips.shape), flips
+    )
+    state = rng.random((trials, width)) < 0.5
+    cuts = sorted(draw(st.sets(st.integers(1, slots), max_size=4)) - {slots})
+    return state, flips, on_prob, off_prob, cuts
+
+
+class TestMarkovKernel:
+    """``markov_run`` against the per-slot reference recurrence."""
+
+    @given(markov_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, case):
+        state, flips, on_prob, off_prob, _ = case
+        got, final = markov_run(state, flips, on_prob, off_prob)
+        ref, ref_final = reference_markov_run(state, flips, on_prob, off_prob)
+        assert got.shape == flips.shape and got.dtype == bool
+        assert np.array_equal(got, ref)
+        assert np.array_equal(final, ref_final)
+
+    @given(markov_case())
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_runs_equal_one_shot(self, case):
+        state, flips, on_prob, off_prob, cuts = case
+        one_shot, final = markov_run(state, flips, on_prob, off_prob)
+        parts = []
+        for block in np.split(flips, cuts, axis=1):
+            part, state = markov_run(state, block, on_prob, off_prob)
+            parts.append(part)
+        assert np.array_equal(np.concatenate(parts, axis=1), one_shot)
+        assert np.array_equal(state, final)
+
+    @pytest.mark.parametrize("on_prob", [0.0, 1.0])
+    def test_degenerate_on_probabilities(self, on_prob):
+        # on = 0: OFF is absorbing; on = 1 (saturated): every OFF slot
+        # turns ON, so OFF never lasts two slots.
+        rng = np.random.default_rng(4)
+        flips = rng.random((2, 300, 3))
+        state = np.array([[True, False, True], [False, False, True]])
+        got, final = markov_run(state, flips, on_prob, 0.25)
+        ref, ref_final = reference_markov_run(state, flips, on_prob, 0.25)
+        assert np.array_equal(got, ref) and np.array_equal(final, ref_final)
+
+    def test_stream_matches_reference_per_trial(self):
+        # End to end through the stream: same generator, same draw
+        # order, uneven chunks, a mixed per-channel activity vector
+        # (zero, on < off, saturated on > off).
+        activity, dwell, chunks = [0.0, 0.1, 0.9], 1.5, [1, 9, 40, 2]
+        on_prob, off_prob = on_probabilities(activity, dwell)
+        stream = MarkovTraffic(
+            IDS[:3], activity=activity, mean_dwell=dwell, seed_offset=0
+        ).streams(SEEDS)
+        got = np.concatenate(
+            [stream.occupied_block(size) for size in chunks], axis=1
+        )
+        for b, seed in enumerate(SEEDS):
+            rng = np.random.default_rng(seed)
+            state = (rng.random(3) < np.asarray(activity))[None]
+            flips = rng.random((sum(chunks), 3))[None]
+            ref, _ = reference_markov_run(state, flips, on_prob, off_prob)
+            assert np.array_equal(got[b], ref[0])
+
+
 class TestMarkovBitIdentity:
-    """MarkovTraffic batched vs legacy PrimaryUserTraffic streams."""
+    """Batched MarkovTraffic streams vs the single-trial PrimaryUserTraffic."""
 
     def legacy(self, seed, activity=0.4, dwell=6.0):
         return PrimaryUserTraffic(
@@ -149,7 +263,9 @@ class TestStaticMask:
     def test_empty_blocked_set_is_all_clear(self):
         env = StaticMask([])
         mask = env.streams([0]).jam_mask(np.array([0, 1, -1]), 6)
-        assert not mask.any()
+        assert mask.shape == (1, 6, 3) and not mask.any()
+        rows = env.streams([0, 1]).jam_mask(np.array([[0, -1], [3, 1]]), 6)
+        assert rows.shape == (2, 6, 2) and not rows.any()
 
 
 class TestJamMaskGather:
@@ -181,6 +297,17 @@ class TestJamMaskGather:
         for b in range(len(SEEDS)):
             ref = reference_jam_mask(occupied[b], IDS, channels[b])
             assert np.array_equal(mask[b], ref)
+
+    def test_shared_row_equals_repeated_rows(self):
+        # A (n,) channel row takes the shared-row gather, a (B, n)
+        # stack the flat-index one; both must read the same occupancy.
+        env = MarkovTraffic(IDS, activity=0.5, mean_dwell=3.0, seed_offset=0)
+        channels = np.array([14, -1, 2, 99, 9, 5, 0])
+        shared = env.streams(SEEDS).jam_mask(channels, 30)
+        stacked = env.streams(SEEDS).jam_mask(
+            np.tile(channels, (len(SEEDS), 1)), 30
+        )
+        assert shared.any() and np.array_equal(shared, stacked)
 
     def test_shared_channel_row_broadcasts(self):
         channels = np.array([2, 9, -1])
