@@ -176,7 +176,7 @@ def run_count_step(
         constants: Schedule constants and estimation rule.
         rng: Randomness for broadcaster coins.
         jam: Optional ``(total_slots, n)`` primary-user reception-kill
-            mask (see :mod:`repro.sim.interference`).
+            mask (see :mod:`repro.sim.environment`).
 
     Returns:
         A :class:`CountOutcome`; ``estimates[u] > 0`` only for listeners

@@ -41,7 +41,6 @@ from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
 from repro.sim.engine import BatchStepOutcome, resolve_step, resolve_step_batch
 from repro.sim.environment import SpectrumEnvironment
-from repro.sim.interference import PrimaryUserTraffic
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
 from repro.sim.rng import RngHub
@@ -237,12 +236,6 @@ class CSeek:
             this protocol's ``seed``, and receptions on occupied
             channels are lost. Robustness extension — the paper
             analyzes the interference-free model.
-        jammer: Deprecated alias for interference: a pre-seeded
-            sequential traffic process
-            (:class:`repro.sim.interference.PrimaryUserTraffic`).
-            Prefer ``environment=`` — an environment serves serial and
-            trial-batched execution alike. Mutually exclusive with
-            ``environment``.
     """
 
     def __init__(
@@ -255,7 +248,6 @@ class CSeek:
         part2_steps: Optional[int] = None,
         part2_listener: ListenerPolicy = "weighted",
         rng_label: str = "cseek",
-        jammer: Optional["PrimaryUserTraffic"] = None,
         environment: Optional[SpectrumEnvironment] = None,
     ) -> None:
         self.network = network
@@ -281,12 +273,6 @@ class CSeek:
         )
         if self.part1_step_budget < 0 or self.part2_step_budget < 0:
             raise ProtocolError("step budgets must be non-negative")
-        if jammer is not None and environment is not None:
-            raise ProtocolError(
-                "pass either environment= or the deprecated jammer= "
-                "alias, not both"
-            )
-        self.jammer = jammer
         self.environment = environment
         self.seed = seed
         self.rng_label = rng_label
@@ -328,7 +314,14 @@ class CSeek:
         )
         count_slots = count_rounds * count_round_len
 
-        traffic = self._open_traffic()
+        # A fresh stream per execution, seeded from this protocol's
+        # seed: reruns and the trial-batched runner see identical
+        # occupancy.
+        traffic = (
+            self.environment.stream(self.seed)
+            if self.environment is not None
+            else None
+        )
         rng1 = self._hub.generator("part1")
         for _ in range(self.part1_step_budget):
             labels = rng1.integers(0, c, size=n)
@@ -406,21 +399,6 @@ class CSeek:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _open_traffic(self):
-        """This execution's traffic process, or None when unjammed.
-
-        A legacy ``jammer=`` instance is used as-is (it owns its seed
-        and state); an ``environment=`` opens a fresh single-trial
-        stream seeded from this protocol's ``seed``, so repeated
-        executions and the trial-batched runner see identical
-        occupancy for identical seeds.
-        """
-        if self.jammer is not None:
-            return self.jammer
-        if self.environment is not None:
-            return self.environment.stream(self.seed)
-        return None
-
     def _choose_part2_labels(
         self,
         rng: np.random.Generator,
@@ -434,7 +412,7 @@ class CSeek:
     # ------------------------------------------------------------------
     # Batched execution
     # ------------------------------------------------------------------
-    def batch(self, jammer_factory=None) -> "object":
+    def batch(self) -> "object":
         """A :class:`~repro.core.cseek_batch.CSeekBatch` with this
         configuration.
 
@@ -445,14 +423,11 @@ class CSeek:
         a :class:`~repro.core.ckseek.CKSeek` prototype hands its
         Section 4.4 budgets to the batch. The prototype's
         ``environment`` carries over (environments open per-trial
-        streams on demand); per-trial legacy jammers come from
-        ``jammer_factory`` (the prototype's own ``jammer`` is ignored:
-        a single shared jammer instance cannot serve independent
-        trials).
+        streams on demand).
         """
         from repro.core.cseek_batch import CSeekBatch
 
-        return CSeekBatch.from_serial(self, jammer_factory=jammer_factory)
+        return CSeekBatch.from_serial(self)
 
 
 def verify_discovery(

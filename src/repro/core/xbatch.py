@@ -34,8 +34,9 @@ Three member kinds exist:
 The trial axis is the concatenation of every member's seeds: ragged
 per-point trial counts need no padding, and each trial's generator
 draws are its own, so per-trial results are bit-identical to the
-per-point ``run_batch`` path — grouping, like batching, is a pure
-throughput decision.
+serial path — grouping, like batching, is a pure throughput decision.
+A one-member group is the per-point batch: :meth:`XBatchable.run` is
+what the trial factories hand the ``jobs="batch"`` executor.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from repro.core.count import count_schedule, run_count_step_batch
 from repro.core.cseek import CSeek
 from repro.core.cseek_batch import (
     CSeekBatch,
-    JammerFactory,
     LockstepMember,
     lockstep_signature,
     run_cseek_lockstep,
@@ -90,6 +90,10 @@ class XBatchable:
     def signature(self) -> tuple:
         raise NotImplementedError
 
+    def run(self, seeds: Sequence[int]) -> List[object]:
+        """This point's trials as a one-member group (``jobs="batch"``)."""
+        return run_group([self], [list(seeds)])[0]
+
 
 @dataclass
 class CSeekXBatch(XBatchable):
@@ -101,7 +105,6 @@ class CSeekXBatch(XBatchable):
 
     make_protocol: Callable[[int], CSeek]
     postprocess: Callable[..., object]
-    jammer_factory: Optional[JammerFactory] = None
     environment: Optional[SpectrumEnvironment] = None
     _batch: Optional[CSeekBatch] = field(
         default=None, repr=False, compare=False
@@ -113,9 +116,7 @@ class CSeekXBatch(XBatchable):
     def batch(self) -> CSeekBatch:
         if self._batch is None:
             self._batch = CSeekBatch.from_serial(
-                self.make_protocol(0),
-                jammer_factory=self.jammer_factory,
-                environment=self.environment,
+                self.make_protocol(0), environment=self.environment
             )
         return self._batch
 
@@ -164,7 +165,6 @@ class CountXBatch(XBatchable):
     log_n: int
     constants: ProtocolConstants
     postprocess: Callable[[np.ndarray], object]
-    jammer_factory: Optional[Callable[[int], object]] = None
     environment: Optional[SpectrumEnvironment] = None
 
     kind: ClassVar[str] = "count"
@@ -213,28 +213,25 @@ def _run_count_group(
     num_trials = sum(per_member)
     offsets = np.concatenate([[0], np.cumsum(per_member)])
     jam = None
-    if any(
-        x.environment is not None or x.jammer_factory is not None
-        for x in xs
-    ):
-        # Unjammed members contribute zeros — engine-equivalent to the
-        # no-jam path, so mixed groups stay bit-identical per member.
-        jam = np.zeros((num_trials, total_slots, n), dtype=bool)
+    if len(xs) == 1:
+        if x0.environment is not None:
+            jam = x0.environment.streams(seed_lists[0]).jam_mask(
+                x0.channels, total_slots
+            )
+    elif any(x.environment is not None for x in xs):
+        # Unjammed members contribute all-clear rows — engine-equivalent
+        # to the no-jam path, so mixed groups stay bit-identical per
+        # member.
+        jam = np.empty((num_trials, total_slots, n), dtype=bool)
         for j, (x, seeds) in enumerate(zip(xs, seed_lists)):
             sl = slice(int(offsets[j]), int(offsets[j + 1]))
-            if x.environment is not None:
-                jam[sl] = x.environment.streams(seeds).jam_mask(
+            jam[sl] = (
+                x.environment.streams(seeds).jam_mask(
                     x.channels, total_slots
                 )
-            elif x.jammer_factory is not None:
-                jam[sl] = np.stack(
-                    [
-                        x.jammer_factory(s).jam_mask(
-                            x.channels, total_slots
-                        )
-                        for s in seeds
-                    ]
-                )
+                if x.environment is not None
+                else False
+            )
     out = run_count_step_batch(
         x0.adj,
         x0.channels,

@@ -44,7 +44,8 @@ vectorized batch. The strategies:
 All strategies validate trial results eagerly: a raising trial surfaces
 as a :class:`~repro.model.errors.HarnessError` naming the trial seed
 that failed, so a failure deep inside a sweep is reproducible in
-isolation.
+isolation. A pool worker that dies outright surfaces the same way,
+naming the seeds of every chunk lost with it.
 
 :func:`get_executor` maps the user-facing ``jobs`` knob (CLI ``--jobs``,
 the ``jobs`` parameter on every experiment function) to a strategy.
@@ -195,6 +196,11 @@ class ParallelExecutor:
     def run(
         self, trial: Callable[[int], T], seeds: Sequence[int]
     ) -> List[T]:
+        # Imported here so runs that never fan out skip loading the
+        # pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         seeds = list(seeds)
         if len(seeds) <= 1 or self.jobs <= 1:
             return SerialExecutor().run(trial, seeds)
@@ -212,12 +218,33 @@ class ParallelExecutor:
         obs.count("executor.trials", len(seeds))
         collector = obs.active()
         results: List[T] = []
-        with ctx.Pool(
-            jobs, initializer=_worker_init, initargs=(trial,)
-        ) as pool:
-            # imap preserves chunk order and surfaces a failed chunk as
-            # soon as it completes, instead of after the whole sweep.
-            for part, snapshot in pool.imap(_worker_chunk, chunks):
+        pool = ProcessPoolExecutor(
+            max_workers=jobs,
+            mp_context=ctx,
+            initializer=_worker_init,
+            initargs=(trial,),
+        )
+        try:
+            futures = [pool.submit(_worker_chunk, c) for c in chunks]
+            # Consuming in submission order keeps chunk order and
+            # surfaces a failed chunk as soon as its predecessors are
+            # in.
+            for i, future in enumerate(futures):
+                try:
+                    part, snapshot = future.result()
+                except BrokenProcessPool as exc:
+                    # A worker died outright (OOM kill, segfault): the
+                    # pool cannot say which task it held, so name every
+                    # chunk that never came back.
+                    lost = [
+                        s
+                        for c, f in zip(chunks[i:], futures[i:])
+                        if isinstance(f.exception(), BrokenProcessPool)
+                        for s in c
+                    ]
+                    raise HarnessError(
+                        f"a pool worker died; trials lost (seeds={lost})"
+                    ) from exc
                 if collector is not None:
                     collector.merge_snapshot(snapshot)
                 for ok, payload in part:
@@ -227,6 +254,12 @@ class ParallelExecutor:
                             f"trial failed (seed={seed}): {detail}"
                         )
                     results.append(payload)
+        except BaseException:
+            # Fail fast: drop every unstarted chunk and return without
+            # waiting for the ones still in flight.
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
+        pool.shutdown()
         return results
 
 
@@ -234,13 +267,14 @@ class BatchedExecutor:
     """Vectorized trial-axis execution (``jobs='batch'``).
 
     A trial callable opts in by carrying a ``run_batch`` attribute —
-    ``run_batch(seeds) -> list of per-seed results`` — implemented on
-    the sim layer's batched resolvers (micro-trials like a single COUNT
-    step) or on the protocol layer's trial-batched runner
-    (:class:`repro.core.cseek_batch.CSeekBatch`, which carries whole
-    CSEEK/CKSEEK executions through the batch). Trials without one fall
-    back to the serial reference strategy, so a batched executor is
-    always safe to pass to heterogeneous experiments.
+    ``run_batch(seeds) -> list of per-seed results``. The protocol
+    trial factories (:mod:`repro.scenarios.trials`) set it to their
+    cross-point descriptor's one-member group
+    (:meth:`repro.core.xbatch.XBatchable.run`), which carries whole
+    COUNT, CSEEK/CKSEEK and CGCAST executions through the batch. Trials
+    without one fall back to the serial reference strategy, so a
+    batched executor is always safe to pass to heterogeneous
+    experiments.
 
     Args:
         batch_size: Maximum seeds per ``run_batch`` call; ``None`` runs

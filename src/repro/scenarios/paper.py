@@ -1084,9 +1084,8 @@ def _plan_e12(ctx: RunContext) -> Iterable[Point]:
         cases.append(("short bursts (dwell 4)", activity, 4.0))
         cases.append(("long bursts (dwell 500)", activity, 500.0))
     for name, activity, dwell in cases:
-        # Stream seeds are trial_seed + 1000, exactly as the
-        # pre-environment jammer factory seeded its per-trial
-        # PrimaryUserTraffic — the golden E12 rows depend on it.
+        # Stream seeds are trial_seed + 1000: the golden E12 rows
+        # were recorded with exactly that per-trial traffic seeding.
         environment = (
             MarkovTraffic(
                 all_channels,

@@ -25,7 +25,6 @@ from repro.sim.environment import (
     TrafficStream,
     make_environment,
 )
-from repro.sim.interference import PrimaryUserTraffic
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
 from repro.sim.rng import RngHub
@@ -42,7 +41,6 @@ __all__ = [
     "use_backend",
     "MarkovTraffic",
     "PoissonTraffic",
-    "PrimaryUserTraffic",
     "ReceptionEvent",
     "RngHub",
     "SlotLedger",

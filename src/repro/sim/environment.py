@@ -3,8 +3,7 @@
 The paper motivates every primitive with licensed (primary) users
 disrupting channel availability: a slot spent listening on an occupied
 channel is lost (Section 1). This module makes that disruption a
-first-class, pluggable subsystem instead of a single jammer object
-bolted onto CSEEK:
+first-class, pluggable subsystem:
 
 * A :class:`SpectrumEnvironment` is an immutable *description* of a
   traffic process over a set of global channels. It knows nothing about
@@ -16,10 +15,9 @@ bolted onto CSEEK:
   trials' chains in lockstep — this is what lets
   :class:`repro.core.cseek_batch.CSeekBatch` jam a whole trial axis
   with one call per protocol step instead of a per-trial Python loop.
-* :meth:`SpectrumEnvironment.stream` is the single-trial view with the
-  legacy :class:`~repro.sim.interference.PrimaryUserTraffic` shapes
-  (``(num_slots, num_channels)`` / ``(num_slots, n)``), used by the
-  serial protocol path.
+* :meth:`SpectrumEnvironment.stream` is the single-trial view
+  (``(num_slots, num_channels)`` / ``(num_slots, n)`` shapes), used by
+  the serial protocol path.
 
 Three models ship:
 
@@ -274,11 +272,11 @@ class TrafficStream(ABC):
 
 
 class _SerialStream:
-    """Single-trial adapter with the legacy ``PrimaryUserTraffic`` shapes.
+    """Single-trial view of a :class:`TrafficStream`.
 
-    Wraps a one-trial :class:`TrafficStream`, dropping the leading
-    trial axis so the serial protocol path (:meth:`CSeek.run`) can
-    consume an environment exactly as it consumed a ``jammer=``.
+    Wraps a one-trial stream, dropping the leading trial axis so the
+    serial protocol path (:meth:`CSeek.run`) consumes occupancy blocks
+    ``(num_slots, num_channels)`` and jam masks ``(num_slots, n)``.
     """
 
     def __init__(self, stream: TrafficStream) -> None:
@@ -289,10 +287,6 @@ class _SerialStream:
             )
         self._stream = stream
         self.channel_ids = stream.channel_ids
-
-    @property
-    def num_channels(self) -> int:
-        return self._stream.num_channels
 
     def occupied_block(self, num_slots: int) -> np.ndarray:
         """``(num_slots, num_channels)`` occupancy, trial axis dropped."""
@@ -310,9 +304,9 @@ class SpectrumEnvironment(ABC):
 
     Environments are immutable descriptions; all mutable state lives in
     the streams they open. One environment therefore serves any number
-    of trials, serial or batched, without cross-trial contamination —
-    which is what lets protocols take an ``environment=`` where they
-    used to need a per-trial ``jammer_factory``.
+    of trials, serial or batched, without cross-trial contamination,
+    and every protocol execution opens its own fresh stream — a rerun
+    with the same seed sees the same occupancy.
     """
 
     kind: str = "abstract"
@@ -354,10 +348,10 @@ class MarkovTraffic(SpectrumEnvironment):
     occupancy ``activity`` and geometric ON bursts of mean
     ``mean_dwell`` slots. Streams draw each trial's uniforms into one
     ``(B, T, C)`` block and advance every chain through it with one
-    closed-form :func:`markov_run` scan — per trial bit-identical to
-    :class:`~repro.sim.interference.PrimaryUserTraffic` (same
-    generator, same draw order, same kernel), so swapping the
-    environment in changes throughput, not results.
+    closed-form :func:`markov_run` scan; trial ``b``'s slice is
+    bit-identical to the single-trial ``stream(seeds[b])`` (same
+    generator, same draw order, same kernel), so batching changes
+    throughput, not results.
 
     Feasibility: the OFF->ON probability needed for stationarity
     saturates at 1, capping reachable occupancy at
@@ -438,8 +432,8 @@ class _MarkovStream(TrafficStream):
         self._rngs = [np.random.default_rng(s) for s in stream_seeds]
         self._off_prob = env._off_prob
         self._on_prob = env._on_prob
-        # Every trial starts at stationarity, drawn exactly as the
-        # legacy sequential stream draws it.
+        # Every trial starts at stationarity: one uniform per channel
+        # from the trial's own generator, drawn before any block.
         self._state = np.stack(
             [rng.random(self.num_channels) < env.activity
              for rng in self._rngs]

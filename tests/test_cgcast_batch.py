@@ -132,6 +132,17 @@ class TestJammedDiscovery:
             ref = CGCast(small_regular_net, seed=s, environment=env).run()
             assert_results_equal(g, ref)
 
+    def test_rerun_is_reproducible(self, small_regular_net):
+        """Each run() opens a fresh traffic stream, so one instance
+        reruns identically and matches its one-trial batch."""
+        env = self._env(small_regular_net)
+        proto = CGCast(small_regular_net, seed=17, environment=env)
+        first = proto.run()
+        assert_results_equal(proto.run(), first)
+        assert_results_equal(
+            CGCastBatch.from_serial(proto).run([17])[0], first
+        )
+
 
 class TestSimulatedExchange:
     def test_simulated_equivalence(self, small_path_net):

@@ -22,7 +22,8 @@ from repro.core import (
 from repro.harness import run_trials
 from repro.harness.executor import BatchedExecutor, get_executor
 from repro.model import HarnessError, ProtocolError
-from repro.sim import PrimaryUserTraffic
+from repro.core.cseek_batch import LockstepMember, run_cseek_lockstep
+from repro.sim import MarkovTraffic
 from repro.sim.trace import TraceRecorder, record_step_batch
 
 SEEDS = [3, 17, 99]
@@ -73,31 +74,23 @@ class TestPlainEquivalence:
 
 
 class TestJammedEquivalence:
-    def _factory(self, net):
-        channels = sorted(net.assignment.universe())
-
-        def jammer_factory(s: int) -> PrimaryUserTraffic:
-            return PrimaryUserTraffic(
-                channels, activity=0.5, mean_dwell=6.0, seed=s + 1000
-            )
-
-        return jammer_factory
+    def _environment(self, net):
+        # Default seed_offset: trial s streams from seed s + 1000.
+        return MarkovTraffic(
+            sorted(net.assignment.universe()), activity=0.5, mean_dwell=6.0
+        )
 
     def test_primary_user_traffic_matches_serial(self, small_path_net):
-        factory = self._factory(small_path_net)
-        batch = CSeekBatch(
-            small_path_net, jammer_factory=factory
-        ).run(SEEDS)
+        env = self._environment(small_path_net)
+        batch = CSeekBatch(small_path_net, environment=env).run(SEEDS)
         for b, s in enumerate(SEEDS):
-            ref = CSeek(small_path_net, seed=s, jammer=factory(s)).run()
+            ref = CSeek(small_path_net, seed=s, environment=env).run()
             assert_results_equal(batch[b], ref)
 
     def test_jamming_changes_outcomes(self, small_path_net):
         """The jam mask must actually reach the batched engine."""
-        factory = self._factory(small_path_net)
-        jammed = CSeekBatch(
-            small_path_net, jammer_factory=factory
-        ).run(SEEDS)
+        env = self._environment(small_path_net)
+        jammed = CSeekBatch(small_path_net, environment=env).run(SEEDS)
         clear = CSeekBatch(small_path_net).run(SEEDS)
         assert any(
             jammed[b].trace.first_heard != clear[b].trace.first_heard
@@ -105,19 +98,37 @@ class TestJammedEquivalence:
         )
 
     def test_mixed_jammed_and_clear_trials(self, small_path_net):
-        """A factory may leave some trials unjammed; each trial must
-        still match its own serial counterpart."""
-        factory = self._factory(small_path_net)
+        """A lockstep group may mix a jammed and a clear member; each
+        trial must still match its own serial counterpart."""
+        env = self._environment(small_path_net)
+        jammed_seeds, clear_seeds = [17, 99], [3, 41]
+        jammed, clear = run_cseek_lockstep(
+            [
+                LockstepMember(
+                    CSeekBatch(small_path_net, environment=env),
+                    jammed_seeds,
+                ),
+                LockstepMember(CSeekBatch(small_path_net), clear_seeds),
+            ]
+        )
+        for got, s in zip(jammed, jammed_seeds):
+            ref = CSeek(small_path_net, seed=s, environment=env).run()
+            assert_results_equal(got, ref)
+        for got, s in zip(clear, clear_seeds):
+            assert_results_equal(got, CSeek(small_path_net, seed=s).run())
 
-        def mixed(s: int):
-            return factory(s) if s % 2 else None
-
-        batch = CSeekBatch(
-            small_path_net, jammer_factory=mixed
-        ).run(SEEDS)
-        for b, s in enumerate(SEEDS):
-            ref = CSeek(small_path_net, seed=s, jammer=mixed(s)).run()
-            assert_results_equal(batch[b], ref)
+    @pytest.mark.parametrize("kind", ["cseek", "ckseek"])
+    def test_rerun_is_reproducible(self, small_path_net, kind):
+        """Each run() opens a fresh traffic stream, so one instance
+        reruns identically and matches its one-trial batch."""
+        env = self._environment(small_path_net)
+        if kind == "cseek":
+            proto = CSeek(small_path_net, seed=17, environment=env)
+        else:
+            proto = CKSeek(small_path_net, khat=2, seed=17, environment=env)
+        first = proto.run()
+        assert_results_equal(proto.run(), first)
+        assert_results_equal(proto.batch().run([17])[0], first)
 
 
 class TestUniformListenerEquivalence:

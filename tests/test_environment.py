@@ -1,13 +1,12 @@
 """The spectrum-environment subsystem (repro.sim.environment).
 
 Three invariant families: (1) the closed-form ``markov_run`` scan
-behind ``MarkovTraffic`` and ``PrimaryUserTraffic`` is bit-identical to
-the per-slot ON/OFF recurrence it replaced (kept below as the oracle),
-and the batched stream matches the single-trial one per trial; (2) the
-gather-based ``jam_mask`` equals the old per-node loop on every channel
-shape; and (3) the protocol layer produces identical results whether
-traffic arrives via ``environment=``, the deprecated ``jammer=`` alias,
-or the trial-batched runner.
+behind ``MarkovTraffic`` is bit-identical to the per-slot ON/OFF
+recurrence it replaced (kept below as the oracle), and the batched
+stream matches the single-trial one per trial; (2) the gather-based
+``jam_mask`` equals the old per-node loop on every channel shape; and
+(3) the protocol layer produces identical results whether traffic
+reaches the serial or the trial-batched runner.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.model import ProtocolError
 from repro.sim import (
     MarkovTraffic,
     PoissonTraffic,
-    PrimaryUserTraffic,
     StaticMask,
     make_environment,
 )
@@ -155,12 +153,10 @@ class TestMarkovKernel:
 
 
 class TestMarkovBitIdentity:
-    """Batched MarkovTraffic streams vs the single-trial PrimaryUserTraffic."""
+    """Batched MarkovTraffic streams vs single-trial streams."""
 
-    def legacy(self, seed, activity=0.4, dwell=6.0):
-        return PrimaryUserTraffic(
-            IDS, activity=activity, mean_dwell=dwell, seed=seed
-        )
+    def single(self, seed, activity=0.4, dwell=6.0):
+        return self.env(activity, dwell).stream(seed)
 
     def env(self, activity=0.4, dwell=6.0):
         return MarkovTraffic(
@@ -170,7 +166,7 @@ class TestMarkovBitIdentity:
     def test_plain_occupancy_matches_per_trial(self):
         block = self.env().streams(SEEDS).occupied_block(300)
         for b, s in enumerate(SEEDS):
-            ref = self.legacy(s).occupied_block(300)
+            ref = self.single(s).occupied_block(300)
             assert np.array_equal(block[b], ref)
 
     def test_saturated_activity_matches_per_trial(self):
@@ -180,7 +176,7 @@ class TestMarkovBitIdentity:
         assert env.realized_activity == pytest.approx(1.5 / 2.5)
         block = env.streams(SEEDS).occupied_block(400)
         for b, s in enumerate(SEEDS):
-            ref = self.legacy(s, activity=0.9, dwell=1.5)
+            ref = self.single(s, activity=0.9, dwell=1.5)
             assert np.array_equal(block[b], ref.occupied_block(400))
 
     def test_chunked_blocks_match_per_trial(self):
@@ -192,13 +188,14 @@ class TestMarkovBitIdentity:
         parts = [stream.occupied_block(size) for size in chunks]
         stacked = np.concatenate(parts, axis=1)
         for b, s in enumerate(SEEDS):
-            ref = self.legacy(s).occupied_block(sum(chunks))
+            ref = self.single(s).occupied_block(sum(chunks))
             assert np.array_equal(stacked[b], ref)
 
     def test_serial_stream_matches_legacy_jam_mask(self):
+        # The serial view's mask is the batched trial's slice.
         channels = np.array([2, 14, -1, 7, 5])
-        env_mask = self.env().stream(SEEDS[0]).jam_mask(channels, 150)
-        ref_mask = self.legacy(SEEDS[0]).jam_mask(channels, 150)
+        env_mask = self.single(SEEDS[0]).jam_mask(channels, 150)
+        ref_mask = self.env().streams(SEEDS).jam_mask(channels, 150)[0]
         assert env_mask.shape == (150, 5)
         assert np.array_equal(env_mask, ref_mask)
 
@@ -322,15 +319,12 @@ class TestJamMaskGather:
             env.streams([0, 1]).jam_mask(np.zeros((3, 4), dtype=int), 5)
 
     def test_legacy_jam_mask_still_matches_loop(self):
-        # PrimaryUserTraffic.jam_mask was vectorized too; pin it
-        # against the loop oracle through its own occupancy stream.
+        # The single-trial view's jam_mask, pinned against the loop
+        # oracle through its own occupancy stream.
         channels = np.array([2, 9, -1, 7, 14, 5])
-        occ = PrimaryUserTraffic(
-            IDS, activity=0.5, mean_dwell=3.0, seed=21
-        ).occupied_block(60)
-        got = PrimaryUserTraffic(
-            IDS, activity=0.5, mean_dwell=3.0, seed=21
-        ).jam_mask(channels, 60)
+        env = MarkovTraffic(IDS, activity=0.5, mean_dwell=3.0, seed_offset=0)
+        occ = env.stream(21).occupied_block(60)
+        got = env.stream(21).jam_mask(channels, 60)
         assert np.array_equal(got, reference_jam_mask(occ, IDS, channels))
 
 
@@ -380,25 +374,6 @@ class TestProtocolIntegration:
             return PoissonTraffic(ids, activity=0.5)
         return MarkovTraffic(ids, activity=0.5, mean_dwell=6.0)
 
-    def test_environment_equals_legacy_jammer(self, small_path_net):
-        env = self._env(small_path_net)
-        ids = sorted(small_path_net.assignment.universe())
-        for s in SEEDS:
-            via_env = CSeek(
-                small_path_net, seed=s, environment=env
-            ).run()
-            via_jammer = CSeek(
-                small_path_net,
-                seed=s,
-                jammer=PrimaryUserTraffic(
-                    ids, activity=0.5, mean_dwell=6.0, seed=s + 1000
-                ),
-            ).run()
-            assert via_env.discovered == via_jammer.discovered
-            assert (
-                via_env.trace.first_heard == via_jammer.trace.first_heard
-            )
-
     @pytest.mark.parametrize("model", ["markov", "poisson"])
     def test_batched_environment_matches_serial(
         self, small_path_net, model
@@ -426,21 +401,6 @@ class TestProtocolIntegration:
         env = StaticMask(sorted(small_path_net.assignment.universe()))
         result = CSeek(small_path_net, seed=1, environment=env).run()
         assert all(not d for d in result.discovered)
-
-    def test_jammer_and_environment_mutually_exclusive(
-        self, small_path_net
-    ):
-        ids = sorted(small_path_net.assignment.universe())
-        jammer = PrimaryUserTraffic(ids, activity=0.5, seed=0)
-        env = self._env(small_path_net)
-        with pytest.raises(ProtocolError, match="not both"):
-            CSeek(small_path_net, jammer=jammer, environment=env)
-        with pytest.raises(ProtocolError, match="not both"):
-            CSeekBatch(
-                small_path_net,
-                jammer_factory=lambda s: jammer,
-                environment=env,
-            )
 
     def test_batch_inherits_prototype_environment(self, small_path_net):
         env = self._env(small_path_net)

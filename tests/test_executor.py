@@ -1,5 +1,9 @@
 """Unit tests for the pluggable trial executors."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.harness import (
@@ -97,6 +101,28 @@ class TestParallelExecutor:
 
         with pytest.raises(HarnessError, match="seed=3"):
             ParallelExecutor(jobs=2).run(bad, [1, 2, 3, 4])
+
+    def test_killed_worker_names_its_seed(self):
+        def trial(s):
+            if s == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return s
+
+        def hung(signum, frame):
+            raise TimeoutError("pool never reported the dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        start = time.monotonic()
+        try:
+            with pytest.raises(
+                HarnessError, match=r"seeds=\[[^\]]*\b3\b"
+            ):
+                ParallelExecutor(jobs=2).run(trial, range(8))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 5
 
     def test_chunk_size_validation(self):
         with pytest.raises(HarnessError):

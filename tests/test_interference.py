@@ -5,35 +5,44 @@ import pytest
 
 from repro.core import CSeek, verify_discovery
 from repro.model import ProtocolError
-from repro.sim import PrimaryUserTraffic, resolve_step
+from repro.sim import MarkovTraffic, resolve_step
+
+
+def _stream(channel_ids, activity, mean_dwell=8.0, seed=0):
+    """One trial's Markov occupancy stream, seeded directly by ``seed``."""
+    return MarkovTraffic(
+        channel_ids, activity, mean_dwell=mean_dwell, seed_offset=0
+    ).stream(seed)
 
 
 class TestPrimaryUserTraffic:
+    """One trial's Markov primary-user traffic, seen through ``stream``."""
+
     def test_rejects_bad_params(self):
         with pytest.raises(ProtocolError):
-            PrimaryUserTraffic([0, 1], activity=1.0)
+            MarkovTraffic([0, 1], activity=1.0)
         with pytest.raises(ProtocolError):
-            PrimaryUserTraffic([0, 1], activity=-0.1)
+            MarkovTraffic([0, 1], activity=-0.1)
         with pytest.raises(ProtocolError):
-            PrimaryUserTraffic([0, 1], activity=0.5, mean_dwell=0.5)
+            MarkovTraffic([0, 1], activity=0.5, mean_dwell=0.5)
         with pytest.raises(ProtocolError):
-            PrimaryUserTraffic([], activity=0.5)
+            MarkovTraffic([], activity=0.5)
         with pytest.raises(ProtocolError):
-            PrimaryUserTraffic([-1], activity=0.5)
+            MarkovTraffic([-1], activity=0.5)
 
     def test_zero_activity_never_occupies(self):
-        traffic = PrimaryUserTraffic([0, 1, 2], activity=0.0, seed=1)
+        traffic = _stream([0, 1, 2], activity=0.0, seed=1)
         assert not traffic.occupied_block(200).any()
 
     def test_stationary_occupancy_near_target(self):
-        traffic = PrimaryUserTraffic(
+        traffic = _stream(
             list(range(20)), activity=0.4, mean_dwell=5.0, seed=2
         )
         block = traffic.occupied_block(4000)
         assert 0.3 <= block.mean() <= 0.5
 
     def test_bursts_have_requested_dwell(self):
-        traffic = PrimaryUserTraffic([0], activity=0.3, mean_dwell=10.0, seed=3)
+        traffic = _stream([0], activity=0.3, mean_dwell=10.0, seed=3)
         series = traffic.occupied_block(20000)[:, 0]
         # Mean run length of ON bursts should be near mean_dwell.
         runs = []
@@ -49,10 +58,10 @@ class TestPrimaryUserTraffic:
         assert 5.0 <= mean_run <= 20.0
 
     def test_sequential_blocks_advance_state(self):
-        t1 = PrimaryUserTraffic([0, 1], activity=0.5, seed=4)
+        t1 = _stream([0, 1], activity=0.5, seed=4)
         a = t1.occupied_block(50)
         b = t1.occupied_block(50)
-        t2 = PrimaryUserTraffic([0, 1], activity=0.5, seed=4)
+        t2 = _stream([0, 1], activity=0.5, seed=4)
         c = t2.occupied_block(100)
         assert np.array_equal(np.vstack([a, b]), c)
 
@@ -67,26 +76,28 @@ class TestPrimaryUserTraffic:
         # feasible targets (activity <= dwell / (dwell + 1)) the
         # long-run occupied fraction converges to the activity target
         # across the (activity, dwell) grid, not just one point.
-        traffic = PrimaryUserTraffic(
+        env = MarkovTraffic(
             list(range(16)),
             activity=activity,
             mean_dwell=mean_dwell,
-            seed=int(activity * 100) + int(mean_dwell),
+            seed_offset=0,
         )
-        assert traffic.realized_activity == pytest.approx(activity)
-        block = traffic.occupied_block(6000)
+        assert env.realized_activity == pytest.approx(activity)
+        block = env.stream(
+            int(activity * 100) + int(mean_dwell)
+        ).occupied_block(6000)
         assert abs(block.mean() - activity) < 0.05
 
     def test_infeasible_targets_saturate_at_the_dwell_cap(self):
         # activity > dwell / (dwell + 1) cannot be reached with
         # geometric ON bursts of that mean: the OFF->ON probability
         # clamps at 1 and occupancy plateaus at the cap.
-        traffic = PrimaryUserTraffic(
-            list(range(16)), activity=0.9, mean_dwell=1.5, seed=8
+        env = MarkovTraffic(
+            list(range(16)), activity=0.9, mean_dwell=1.5, seed_offset=0
         )
         cap = 1.5 / 2.5
-        assert traffic.realized_activity == pytest.approx(cap)
-        block = traffic.occupied_block(6000)
+        assert env.realized_activity == pytest.approx(cap)
+        block = env.stream(8).occupied_block(6000)
         assert abs(block.mean() - cap) < 0.05
 
     def test_chunked_consumption_bit_identical_to_one_shot(self):
@@ -95,11 +106,11 @@ class TestPrimaryUserTraffic:
         # single generation from the same seed produces.
         chunks = [1, 7, 64, 3, 1, 100, 24]
         total = sum(chunks)
-        chunked = PrimaryUserTraffic(
+        chunked = _stream(
             [2, 5, 9], activity=0.35, mean_dwell=6.0, seed=13
         )
         parts = [chunked.occupied_block(size) for size in chunks]
-        one_shot = PrimaryUserTraffic(
+        one_shot = _stream(
             [2, 5, 9], activity=0.35, mean_dwell=6.0, seed=13
         ).occupied_block(total)
         assert np.array_equal(np.vstack(parts), one_shot)
@@ -109,17 +120,17 @@ class TestPrimaryUserTraffic:
         # inherit the same chunking invariance.
         channels = np.array([2, 9, -1, 5])
         chunks = [5, 1, 30, 14]
-        chunked = PrimaryUserTraffic(
+        chunked = _stream(
             [2, 5, 9], activity=0.5, mean_dwell=3.0, seed=21
         )
         parts = [chunked.jam_mask(channels, size) for size in chunks]
-        one_shot = PrimaryUserTraffic(
+        one_shot = _stream(
             [2, 5, 9], activity=0.5, mean_dwell=3.0, seed=21
         ).jam_mask(channels, sum(chunks))
         assert np.array_equal(np.vstack(parts), one_shot)
 
     def test_jam_mask_covers_tuned_channels_only(self):
-        traffic = PrimaryUserTraffic([5], activity=0.9, mean_dwell=2.0, seed=5)
+        traffic = _stream([5], activity=0.9, mean_dwell=2.0, seed=5)
         channels = np.array([5, 7, -1])
         mask = traffic.jam_mask(channels, 300)
         assert mask[:, 0].mean() > 0.3  # channel 5 is managed
@@ -127,7 +138,7 @@ class TestPrimaryUserTraffic:
         assert not mask[:, 2].any()  # idle node never jammed
 
     def test_jam_mask_rejects_bad_slots(self):
-        traffic = PrimaryUserTraffic([0], activity=0.1)
+        traffic = _stream([0], activity=0.1)
         with pytest.raises(ProtocolError):
             traffic.occupied_block(0)
 
@@ -170,27 +181,28 @@ class TestCSeekUnderInterference:
     @pytest.mark.integration
     def test_short_bursts_are_absorbed(self, small_regular_net):
         net = small_regular_net
-        traffic = PrimaryUserTraffic(
+        # Stream seed 1 + 6 = 7.
+        traffic = MarkovTraffic(
             sorted(net.assignment.universe()),
             activity=0.3,
             mean_dwell=4.0,
-            seed=7,
+            seed_offset=6,
         )
-        result = CSeek(net, seed=1, jammer=traffic).run()
+        result = CSeek(net, seed=1, environment=traffic).run()
         assert verify_discovery(result, net).success
 
     @pytest.mark.integration
     def test_heavy_long_bursts_break_discovery(self, small_regular_net):
         net = small_regular_net
         failures = 0
+        traffic = MarkovTraffic(
+            sorted(net.assignment.universe()),
+            activity=0.9,
+            mean_dwell=2000.0,
+            seed_offset=0,
+        )
         for s in range(3):
-            traffic = PrimaryUserTraffic(
-                sorted(net.assignment.universe()),
-                activity=0.9,
-                mean_dwell=2000.0,
-                seed=s,
-            )
-            result = CSeek(net, seed=s, jammer=traffic).run()
+            result = CSeek(net, seed=s, environment=traffic).run()
             if not verify_discovery(result, net).success:
                 failures += 1
         assert failures > 0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import CSeek, ProtocolConstants, run_count_step
 from repro.graphs import build_network, cycle, path, random_regular
-from repro.sim import PrimaryUserTraffic
+from repro.sim import MarkovTraffic
 
 
 @st.composite
@@ -103,9 +103,9 @@ class TestInterferenceInvariants:
     def test_occupancy_blocks_are_boolean_and_bounded(
         self, activity, dwell, seed
     ):
-        traffic = PrimaryUserTraffic(
-            list(range(8)), activity=activity, mean_dwell=dwell, seed=seed
-        )
+        traffic = MarkovTraffic(
+            list(range(8)), activity=activity, mean_dwell=dwell, seed_offset=0
+        ).stream(seed)
         block = traffic.occupied_block(64)
         assert block.shape == (64, 8)
         assert block.dtype == bool
@@ -126,18 +126,18 @@ class TestInterferenceInvariants:
         clean = CSeek(
             network, seed=seed, part1_steps=20, part2_steps=0
         ).run()
-        traffic = PrimaryUserTraffic(
+        traffic = MarkovTraffic(
             sorted(network.assignment.universe()),
             activity=0.5,
             mean_dwell=6.0,
-            seed=seed + 1,
+            seed_offset=1,
         )
         jammed = CSeek(
             network,
             seed=seed,
             part1_steps=20,
             part2_steps=0,
-            jammer=traffic,
+            environment=traffic,
         ).run()
         for u in range(network.n):
             assert jammed.discovered[u] <= clean.discovered[u]

@@ -2,9 +2,10 @@
 
 The invariant everywhere: grouping compatible sweep points into one
 lockstep execution is a pure throughput decision — every trial's result
-stays bit-identical to the per-point ``CSeekBatch``/``run_batch`` path,
-for plain, jammed, ragged-trial-count and mixed-shape workloads, and
-scenario rows are byte-identical under every ``jobs`` value.
+stays bit-identical to the per-point ``CSeekBatch`` path and to the
+serial trials, for plain, jammed, ragged-trial-count and mixed-shape
+workloads, and scenario rows are byte-identical under every ``jobs``
+value.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from repro.core import (
 )
 from repro.graphs import build_network, cycle, path
 from repro.harness.executor import (
+    BatchedExecutor,
+    SerialExecutor,
     StreamingExecutor,
     XBatchExecutor,
     get_executor,
@@ -42,7 +45,8 @@ from repro.scenarios import (
     stream_scenario_spec,
 )
 from repro.scenarios.spec import AssignmentSpec
-from repro.sim import PrimaryUserTraffic
+from repro.scenarios.trials import broadcaster_star, count_trial, cseek_trial
+from repro.sim import MarkovTraffic
 from repro.sim.engine import resolve_step, resolve_step_batch
 from repro.sim.rng import RngHub
 
@@ -83,23 +87,19 @@ class TestLockstepEquivalence:
     def test_jammed_and_clear_members_stay_independent(
         self, path_net, cycle_net
     ):
-        channels = sorted(path_net.assignment.universe())
-
-        def factory(s: int) -> PrimaryUserTraffic:
-            return PrimaryUserTraffic(
-                channels, activity=0.5, mean_dwell=6.0, seed=s + 1000
-            )
-
+        env = MarkovTraffic(
+            sorted(path_net.assignment.universe()),
+            activity=0.5,
+            mean_dwell=6.0,
+        )
         got = run_cseek_lockstep(
             [
-                LockstepMember(
-                    CSeekBatch(path_net, jammer_factory=factory), SEEDS_A
-                ),
+                LockstepMember(CSeekBatch(path_net, environment=env), SEEDS_A),
                 LockstepMember(CSeekBatch(cycle_net), SEEDS_B),
             ]
         )
         for g, s in zip(got[0], SEEDS_A):
-            ref = CSeek(path_net, seed=s, jammer=factory(s)).run()
+            ref = CSeek(path_net, seed=s, environment=env).run()
             assert_results_equal(g, ref)
         for g, r in zip(got[1], CSeekBatch(cycle_net).run(SEEDS_B)):
             assert_results_equal(g, r)
@@ -172,6 +172,58 @@ class TestRunGroup:
             run_group([xa, xb], [SEEDS_A])
         with pytest.raises(ProtocolError):
             run_group([], [])
+
+
+class TestFactoryRunBatch:
+    """A factory's ``run_batch`` (its one-member group) equals the
+    serial trial, jammed or not, at any batch size."""
+
+    SEEDS = [3, 17, 99, 7, 41]
+
+    def _count(self, env):
+        adj, channels, tx_role = broadcaster_star(4)
+        return count_trial(
+            adj,
+            channels,
+            tx_role,
+            max_count=8,
+            log_n=3,
+            constants=ProtocolConstants(),
+            postprocess=lambda est: est.tolist(),
+            environment=env,
+        )
+
+    def _cseek(self, net, env):
+        return cseek_trial(
+            lambda s: CSeek(net, seed=s),
+            lambda r: (r.trace.first_heard, r.total_slots, r.discovered),
+            environment=env,
+        )
+
+    def _trial(self, net, kind, jammed):
+        if kind == "count":
+            channels, dwell = [0], 4.0
+        else:
+            channels, dwell = sorted(net.assignment.universe()), 6.0
+        env = (
+            MarkovTraffic(channels, activity=0.5, mean_dwell=dwell)
+            if jammed
+            else None
+        )
+        return self._count(env) if kind == "count" else self._cseek(net, env)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("jammed", [False, True])
+    @pytest.mark.parametrize("kind", ["count", "cseek"])
+    def test_run_batch_equals_serial(
+        self, path_net, kind, jammed, batch_size
+    ):
+        trial = self._trial(path_net, kind, jammed)
+        serial = SerialExecutor().run(trial, self.SEEDS)
+        assert BatchedExecutor(batch_size).run(trial, self.SEEDS) == serial
+        if jammed:  # the traffic must actually reach both paths
+            clear = self._trial(path_net, kind, jammed=False)
+            assert SerialExecutor().run(clear, self.SEEDS) != serial
 
 
 class TestEnginePerTrialAdjacency:
