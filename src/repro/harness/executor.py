@@ -196,11 +196,6 @@ class ParallelExecutor:
     def run(
         self, trial: Callable[[int], T], seeds: Sequence[int]
     ) -> List[T]:
-        # Imported here so runs that never fan out skip loading the
-        # pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
         seeds = list(seeds)
         if len(seeds) <= 1 or self.jobs <= 1:
             return SerialExecutor().run(trial, seeds)
@@ -208,6 +203,11 @@ class ParallelExecutor:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover — non-POSIX fallback
             return SerialExecutor().run(trial, seeds)
+        # Imported here so runs that never fan out skip loading the
+        # pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         jobs = min(self.jobs, len(seeds))
         chunk = self.chunk_size or max(
             1, math.ceil(len(seeds) / (jobs * 4))
@@ -255,9 +255,15 @@ class ParallelExecutor:
                         )
                     results.append(payload)
         except BaseException:
-            # Fail fast: drop every unstarted chunk and return without
-            # waiting for the ones still in flight.
+            # Fail fast: drop every unstarted chunk and kill the workers
+            # so chunks still in flight stop at once (shutdown alone
+            # would let them run on, and exit would wait for them).
+            workers = list(pool._processes.values())
             pool.shutdown(wait=False, cancel_futures=True)
+            for worker in workers:
+                worker.terminate()
+            for worker in workers:
+                worker.join()
             raise
         pool.shutdown()
         return results

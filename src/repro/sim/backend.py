@@ -11,10 +11,11 @@ arithmetic can be swapped:
 
 :class:`NumpyBackend`
     The default and the reference. Casts the boolean reception mask to
-    float64 per call so the products dispatch to BLAS GEMMs. All
-    operands are 0/1 coins or ids ``< n``, so every product is an
-    exact integer ``< n^2 << 2^53`` — float64 round-trips are lossless
-    and results are bit-identical regardless of blocking.
+    float64 once per distinct mask (cached — see
+    :meth:`NumpyBackend.reach_floats`) so the products dispatch to BLAS
+    GEMMs. All operands are 0/1 coins or ids ``< n``, so every product
+    is an exact integer ``< n^2 << 2^53`` — float64 round-trips are
+    lossless and results are bit-identical regardless of blocking.
 :class:`NumbaBackend`
     Optional JIT backend, discovered at runtime (never imported unless
     selected). Computes the same integer products with fused
@@ -99,20 +100,58 @@ class ArrayBackend(Protocol):
 
 
 class NumpyBackend:
-    """BLAS-dispatched reference backend (the default)."""
+    """BLAS-dispatched reference backend (the default).
+
+    Float64 casts of a reception mask are memoized per mask object
+    (:meth:`reach_floats`): protocol runs resolve many steps against
+    the same mask (COUNT trials re-use one star; cached reception
+    matrices in the engine return the same object), and re-materializing
+    ``reach.astype(np.float64)`` per call was measurable on small-n
+    sweeps. The cache keys on object identity and holds strong
+    references, so an entry can never alias a different (freed) array.
+    """
 
     name = "numpy"
+
+    #: Distinct reach masks memoized at once. Protocol runs alternate
+    #: between at most a couple of masks; keep this tiny.
+    _CACHE_ENTRIES = 4
 
     #: Rows per GEMM block — big enough to amortize dispatch, small
     #: enough to stay cache-resident (one huge GEMM with this skinny
     #: inner dimension is memory-bound and loses).
     _GEMM_ROWS = 16384
 
+    def __init__(self) -> None:
+        self._floats: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def reach_floats(
+        self, reach: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(reach_f, reach_ids)`` float64 casts, memoized per mask."""
+        for i, (obj, reach_f, reach_ids) in enumerate(self._floats):
+            if obj is reach:
+                if i:  # move-to-front; the hot mask stays first
+                    self._floats.insert(0, self._floats.pop(i))
+                obs.count("backend.float_cache.hits")
+                return reach_f, reach_ids
+        obs.count("backend.float_cache.misses")
+        reach_f = reach.astype(np.float64)
+        ids = np.arange(reach.shape[-1], dtype=np.float64)
+        reach_ids = reach_f * ids[None, :]
+        self._floats.insert(0, (reach, reach_f, reach_ids))
+        if len(self._floats) > self._CACHE_ENTRIES:
+            obs.count(
+                "backend.float_cache.evictions",
+                len(self._floats) - self._CACHE_ENTRIES,
+            )
+        del self._floats[self._CACHE_ENTRIES :]
+        return reach_f, reach_ids
+
     def step_products(
         self, reach: np.ndarray, coins: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        reach_f = reach.astype(np.float64)
-        reach_ids = reach_f * np.arange(reach.shape[-1], dtype=np.float64)
+        reach_f, reach_ids = self.reach_floats(reach)
         m, n = coins.shape
         contenders = np.empty((m, n), dtype=np.int64)
         idsum = np.empty((m, n), dtype=np.int64)
@@ -128,7 +167,8 @@ class NumpyBackend:
         self, reach: np.ndarray, coins: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         # Batched BLAS GEMMs over the trial axis (matmul beats einsum
-        # ~5x on these shapes).
+        # ~5x on these shapes). Per-trial masks are fresh arrays every
+        # step, so there is nothing to memoize here.
         obs.count("backend.gemm_batches")
         ids = np.arange(reach.shape[-1], dtype=np.float64)
         reach_t = reach.astype(np.float64).transpose(0, 2, 1)

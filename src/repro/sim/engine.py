@@ -49,6 +49,7 @@ Identity convention: nodes are identified by their index ``0 .. n-1``;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -187,6 +188,43 @@ def _reception_matrix(
     return mask
 
 
+#: Memoized reception matrices: (adjacency, channels bytes, tx bytes,
+#: reach). Serial protocol loops (COUNT trials on one star, repeated
+#: fixed-channel steps) rebuild the identical mask every call; returning
+#: the *same object* also lets the numpy backend reuse its float64
+#: casts. Adjacency matches by identity (entries hold strong
+#: references, so an id can never be reused while cached); channels and
+#: roles match by content, since callers often rebuild those small
+#: arrays. The sim layer never mutates an adjacency in place — the one
+#: assumption this cache leans on.
+_REACH_CACHE: List[Tuple[np.ndarray, bytes, bytes, np.ndarray]] = []
+_REACH_CACHE_ENTRIES = 8
+
+
+def _cached_reception_matrix(
+    adjacency: np.ndarray, channels: np.ndarray, tx_role: np.ndarray
+) -> np.ndarray:
+    """:func:`_reception_matrix`, memoized for repeated step inputs."""
+    ch_key = channels.tobytes()
+    tx_key = tx_role.tobytes()
+    for i, (adj, ch, tx, reach) in enumerate(_REACH_CACHE):
+        if adj is adjacency and ch == ch_key and tx == tx_key:
+            if i:
+                _REACH_CACHE.insert(0, _REACH_CACHE.pop(i))
+            obs.count("engine.reach_cache.hits")
+            return reach
+    obs.count("engine.reach_cache.misses")
+    reach = _reception_matrix(adjacency, channels, tx_role)
+    _REACH_CACHE.insert(0, (adjacency, ch_key, tx_key, reach))
+    if len(_REACH_CACHE) > _REACH_CACHE_ENTRIES:
+        obs.count(
+            "engine.reach_cache.evictions",
+            len(_REACH_CACHE) - _REACH_CACHE_ENTRIES,
+        )
+    del _REACH_CACHE[_REACH_CACHE_ENTRIES:]
+    return reach
+
+
 def resolve_slot(
     adjacency: np.ndarray, channels: np.ndarray, tx: np.ndarray
 ) -> SlotOutcome:
@@ -254,7 +292,7 @@ def resolve_step(
         raise ProtocolError(
             f"jam must have shape {coins.shape}, got {jam.shape}"
         )
-    reach = _reception_matrix(adjacency, channels, tx_role)
+    reach = _cached_reception_matrix(adjacency, channels, tx_role)
     # contenders[t, u] = number of u's neighbors transmitting on u's
     # channel in slot t; idsum is the id-sum trick — when exactly one
     # neighbor transmits, the weighted sum of transmitting-neighbor ids
@@ -344,7 +382,7 @@ def resolve_step_batch(
         # Homogeneous trials: one shared (n, n) reception mask; the
         # trial and slot axes flatten into one (B*T, n) product (the
         # numpy backend blocks the GEMM rows to stay cache-resident).
-        reach = _reception_matrix(adjacency, channels, tx_role)
+        reach = _cached_reception_matrix(adjacency, channels, tx_role)
         flat = coins.reshape(b * t_slots, n)
         obs.count("engine.resolve_step_batch_calls")
         with obs.span("gemm"):

@@ -1,5 +1,6 @@
 """Unit tests for the pluggable trial executors."""
 
+import multiprocessing
 import os
 import signal
 import time
@@ -122,6 +123,19 @@ class TestParallelExecutor:
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 5
+
+    def test_failure_kills_in_flight_workers(self):
+        def trial(s):
+            if s == 0:
+                raise RuntimeError("first chunk fails")
+            time.sleep(30)
+            return s
+
+        start = time.monotonic()
+        with pytest.raises(HarnessError, match="seed=0"):
+            ParallelExecutor(jobs=2, chunk_size=1).run(trial, range(4))
+        assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 5
 
     def test_chunk_size_validation(self):
