@@ -44,7 +44,9 @@ from repro.sim.engine import (
 __all__ = [
     "CountBatchOutcome",
     "CountOutcome",
+    "count_probabilities",
     "count_schedule",
+    "resolve_count_step_batch",
     "run_count_step",
     "run_count_step_batch",
 ]
@@ -153,6 +155,43 @@ def _estimate_argmax(round_receptions: np.ndarray) -> np.ndarray:
     return estimates
 
 
+def count_probabilities(
+    max_count: int, log_n: int, constants: ProtocolConstants
+) -> np.ndarray:
+    """Per-slot broadcaster transmission probability of one execution.
+
+    ``1/2^(i-1)`` in every slot of (1-based) round ``i``; shape
+    ``(rounds * round_length,)``.
+    """
+    rounds, round_length = count_schedule(max_count, log_n, constants)
+    return np.repeat(2.0 ** -np.arange(rounds, dtype=float), round_length)
+
+
+def _estimate(
+    heard_from: np.ndarray,
+    max_count: int,
+    log_n: int,
+    constants: ProtocolConstants,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(round_receptions, estimates)`` from ``(..., slots, n)`` receptions.
+
+    Leading axes (none, or a trial axis) pass through; the estimation
+    rule is ``constants.count_rule``.
+    """
+    rounds, round_length = count_schedule(max_count, log_n, constants)
+    received = (heard_from >= 0).astype(np.int64)
+    round_receptions = received.reshape(
+        *received.shape[:-2], rounds, round_length, received.shape[-1]
+    ).sum(axis=-2)
+    if constants.count_rule == "first_crossing":
+        estimates = _estimate_first_crossing(
+            round_receptions, round_length, constants.count_threshold()
+        )
+    else:
+        estimates = _estimate_argmax(round_receptions)
+    return round_receptions, estimates
+
+
 def run_count_step(
     adjacency: np.ndarray,
     channels: np.ndarray,
@@ -183,27 +222,63 @@ def run_count_step(
         that heard at least one clear message.
     """
     n = adjacency.shape[0]
-    rounds, round_length = count_schedule(max_count, log_n, constants)
-    total_slots = rounds * round_length
-    # Per-slot transmission probability: 1/2^(i-1) in (1-based) round i.
-    probs = np.repeat(
-        2.0 ** -np.arange(rounds, dtype=float), round_length
-    )
-    coins = rng.random((total_slots, n)) < probs[:, None]
+    probs = count_probabilities(max_count, log_n, constants)
+    coins = rng.random((probs.size, n)) < probs[:, None]
     step = resolve_step(adjacency, channels, tx_role, coins, jam=jam)
-    received = (step.heard_from >= 0).astype(np.int64)
-    round_receptions = received.reshape(rounds, round_length, n).sum(axis=1)
-    if constants.count_rule == "first_crossing":
-        estimates = _estimate_first_crossing(
-            round_receptions, round_length, constants.count_threshold()
-        )
-    else:
-        estimates = _estimate_argmax(round_receptions)
+    round_receptions, estimates = _estimate(
+        step.heard_from, max_count, log_n, constants
+    )
     return CountOutcome(
         estimates=estimates,
         step=step,
         round_receptions=round_receptions,
-        num_slots=total_slots,
+        num_slots=probs.size,
+    )
+
+
+def resolve_count_step_batch(
+    adjacency: np.ndarray,
+    channels: np.ndarray,
+    tx_role: np.ndarray,
+    coins: np.ndarray,
+    max_count: int,
+    log_n: int,
+    constants: ProtocolConstants,
+    jam: np.ndarray | None = None,
+) -> CountBatchOutcome:
+    """Resolve and estimate ``B`` COUNT executions from given coins.
+
+    The resolving half of :func:`run_count_step_batch`, for callers
+    that draw the broadcaster coins themselves — CSEEK part one
+    interleaves them with each step's channel and role draws. Row ``b``
+    is bit-identical to :func:`run_count_step` on row ``b``'s inputs
+    when its coins are ``rng.random((slots, n)) < count_probabilities``.
+
+    Args:
+        adjacency: ``(n, n)`` shared or ``(B, n, n)`` per-row boolean
+            adjacency.
+        channels: ``(n,)`` shared or ``(B, n)`` per-row global channel
+            per node (``-1`` idle).
+        tx_role: ``(n,)`` shared or ``(B, n)`` per-row broadcaster
+            roles.
+        coins: ``(B, total_slots, n)`` boolean transmission coins.
+        max_count: A-priori bound on the broadcaster count.
+        log_n: ``ceil(lg n)`` for round sizing.
+        constants: Schedule constants and estimation rule.
+        jam: Optional ``(B, total_slots, n)`` reception-kill mask.
+
+    Returns:
+        A :class:`CountBatchOutcome` over all ``B`` rows.
+    """
+    step = resolve_step_batch(adjacency, channels, tx_role, coins, jam=jam)
+    round_receptions, estimates = _estimate(
+        step.heard_from, max_count, log_n, constants
+    )
+    return CountBatchOutcome(
+        estimates=estimates,
+        step=step,
+        round_receptions=round_receptions,
+        num_slots=coins.shape[1],
     )
 
 
@@ -221,12 +296,12 @@ def run_count_step_batch(
 
     The trials share the topology and the schedule and differ in their
     broadcaster coins — and, optionally, in per-trial channels and roles
-    (2-D inputs), which is how CSEEK's trial-batched part-one steps ride
-    this primitive: every trial tunes its own way, but all resolve in
-    one engine call. Each trial's coins are drawn from its own generator
+    (2-D inputs): every trial tunes its own way, but all resolve in one
+    engine call. Each trial's coins are drawn from its own generator
     exactly as :func:`run_count_step` would draw them, so trial ``b`` of
     the result is bit-identical to a serial call with ``rngs[b]`` —
-    batching is a pure throughput decision.
+    batching is a pure throughput decision. Draws the coins, then hands
+    them to :func:`resolve_count_step_batch`.
 
     Args:
         adjacency: ``(n, n)`` shared or ``(B, n, n)`` per-trial boolean
@@ -248,28 +323,17 @@ def run_count_step_batch(
     if not rngs:
         raise ProtocolError("rngs must name at least one trial generator")
     n = adjacency.shape[-1]
-    rounds, round_length = count_schedule(max_count, log_n, constants)
-    total_slots = rounds * round_length
-    probs = np.repeat(
-        2.0 ** -np.arange(rounds, dtype=float), round_length
-    )
+    probs = count_probabilities(max_count, log_n, constants)
     coins = np.stack(
-        [rng.random((total_slots, n)) < probs[:, None] for rng in rngs]
+        [rng.random((probs.size, n)) < probs[:, None] for rng in rngs]
     )
-    step = resolve_step_batch(adjacency, channels, tx_role, coins, jam=jam)
-    received = (step.heard_from >= 0).astype(np.int64)
-    round_receptions = received.reshape(
-        len(rngs), rounds, round_length, n
-    ).sum(axis=2)
-    if constants.count_rule == "first_crossing":
-        estimates = _estimate_first_crossing(
-            round_receptions, round_length, constants.count_threshold()
-        )
-    else:
-        estimates = _estimate_argmax(round_receptions)
-    return CountBatchOutcome(
-        estimates=estimates,
-        step=step,
-        round_receptions=round_receptions,
-        num_slots=total_slots,
+    return resolve_count_step_batch(
+        adjacency,
+        channels,
+        tx_role,
+        coins,
+        max_count=max_count,
+        log_n=log_n,
+        constants=constants,
+        jam=jam,
     )

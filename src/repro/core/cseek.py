@@ -25,6 +25,15 @@ E10 uses it to show the weighting is what makes part two work.
 This class is also reused by CKSEEK (different step budgets) and as
 CGCAST's pairwise-exchange primitive (hearing a node's identity means
 receiving its current payload).
+
+Execution: the schedule is open-loop — no step looks at an earlier
+step's outcome, and part two reads only part one's final scores — so
+:meth:`CSeek.run` is the one-trial case of
+:func:`repro.core.cseek_batch.run_cseek_lockstep`, which draws each
+chunk of consecutive steps in schedule order and resolves it with one
+engine call. This module holds the protocol's configuration, its
+per-step building blocks (:func:`choose_part2_labels`,
+:func:`backoff_probabilities`) and the result types.
 """
 
 from __future__ import annotations
@@ -34,16 +43,13 @@ from typing import List, Literal, Optional, Set, Tuple
 
 import numpy as np
 
-from repro import obs
 from repro.core.constants import ProtocolConstants
-from repro.core.count import run_count_step
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
-from repro.sim.engine import BatchStepOutcome, resolve_step, resolve_step_batch
+from repro.sim.engine import BatchStepOutcome, resolve_step_batch
 from repro.sim.environment import SpectrumEnvironment
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
-from repro.sim.rng import RngHub
 from repro.sim.trace import TraceRecorder
 
 __all__ = [
@@ -73,10 +79,10 @@ def choose_part2_labels(
     when a node accumulated nothing — or for everyone under the
     ``uniform`` ablation policy.
 
-    Shared by the serial (:meth:`CSeek.run`) and trial-batched
-    (:class:`repro.core.cseek_batch.CSeekBatch`) execution paths: both
-    must consume ``rng`` in exactly this order for their trials to stay
-    bit-identical.
+    Called once per trial and part-two step by
+    :func:`repro.core.cseek_batch.run_cseek_lockstep`, between the
+    step's role draw and its back-off coins; the draw order here is
+    part of every trial's random stream.
     """
     n, c = counts.shape
     labels = rng.integers(0, c, size=n)
@@ -120,10 +126,9 @@ def resolve_backoff_batch(
 
     The trials share one adjacency; channels and roles may be shared
     (1-D) or per-trial (2-D), and each trial's Figure-1 coins come from
-    its own generator — drawn exactly as :meth:`CSeek.run` draws them,
-    so trial ``b`` is bit-identical to the serial window it replaces.
-    This is the batched counterpart of a single part-two step for
-    homogeneous-trial experiments and benchmarks.
+    its own generator — drawn exactly as a CSEEK part-two step draws
+    them. A standalone back-off primitive for homogeneous-trial
+    experiments and benchmarks.
 
     Args:
         adjacency: ``(n, n)`` shared or ``(B, n, n)`` per-trial boolean
@@ -276,138 +281,25 @@ class CSeek:
         self.environment = environment
         self.seed = seed
         self.rng_label = rng_label
-        self._hub = RngHub(seed).child(rng_label)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> CSeekResult:
-        """Execute part one then part two; return the full result."""
-        # Telemetry stage mirrors the lockstep runner: plain CSEEK (and
-        # CGCAST discovery) report as "discovery"; rng-relabelled
-        # simulated exchanges report as "oracle_exchange".
-        stage = (
-            "discovery"
-            if self.rng_label == "cseek"
-            or self.rng_label.endswith("discovery")
-            else "oracle_exchange"
-        )
-        with obs.span(stage):
-            return self._execute()
+        """Execute part one then part two; return the full result.
 
-    def _execute(self) -> CSeekResult:
-        net = self.network
-        kn = self.knowledge
-        n, c = net.n, net.c
-        table = net.channel_table()
-        counts = np.zeros((n, c), dtype=np.float64)
-        trace = TraceRecorder()
-        ledger = SlotLedger()
-        step_starts: List[int] = []
-        step_channels: List[np.ndarray] = []
-        slot_cursor = 0
-
-        from repro.core.count import count_schedule
-
-        count_rounds, count_round_len = count_schedule(
-            kn.max_degree, kn.log_n, self.constants
-        )
-        count_slots = count_rounds * count_round_len
-
-        # A fresh stream per execution, seeded from this protocol's
-        # seed: reruns and the trial-batched runner see identical
-        # occupancy.
-        traffic = (
-            self.environment.stream(self.seed)
-            if self.environment is not None
-            else None
-        )
-        rng1 = self._hub.generator("part1")
-        for _ in range(self.part1_step_budget):
-            labels = rng1.integers(0, c, size=n)
-            channels = table[np.arange(n), labels]
-            tx_role = rng1.random(n) < 0.5
-            jam = (
-                traffic.jam_mask(channels, count_slots)
-                if traffic is not None
-                else None
-            )
-            outcome = run_count_step(
-                net.adjacency,
-                channels,
-                tx_role,
-                max_count=kn.max_degree,
-                log_n=kn.log_n,
-                constants=self.constants,
-                rng=rng1,
-                jam=jam,
-            )
-            listeners = ~tx_role
-            counts[np.arange(n)[listeners], labels[listeners]] += (
-                outcome.estimates[listeners]
-            )
-            trace.record_step(
-                outcome.step, slot_cursor, "cseek.part1", channels=channels
-            )
-            step_starts.append(slot_cursor)
-            step_channels.append(channels)
-            slot_cursor += outcome.num_slots
-            ledger.charge("part1", outcome.num_slots)
-
-        discovered_part_one = [set(trace.heard_by(u)) for u in range(n)]
-
-        rng2 = self._hub.generator("part2")
-        backoff_len = kn.log_delta
-        backoff_probs = backoff_probabilities(backoff_len)
-        for _ in range(self.part2_step_budget):
-            tx_role = rng2.random(n) < 0.5
-            labels = self._choose_part2_labels(rng2, tx_role, counts)
-            channels = table[np.arange(n), labels]
-            coins = rng2.random((backoff_len, n)) < backoff_probs[:, None]
-            jam = (
-                traffic.jam_mask(channels, backoff_len)
-                if traffic is not None
-                else None
-            )
-            outcome = resolve_step(
-                net.adjacency, channels, tx_role, coins, jam=jam
-            )
-            trace.record_step(
-                outcome, slot_cursor, "cseek.part2", channels=channels
-            )
-            step_starts.append(slot_cursor)
-            step_channels.append(channels)
-            slot_cursor += backoff_len
-            ledger.charge("part2", backoff_len)
-
-        discovered = [set(trace.heard_by(u)) for u in range(n)]
-        return CSeekResult(
-            discovered=discovered,
-            discovered_part_one=discovered_part_one,
-            counts=counts,
-            trace=trace,
-            ledger=ledger,
-            step_start_slots=np.array(step_starts, dtype=np.int64),
-            step_channels=(
-                np.vstack(step_channels)
-                if step_channels
-                else np.zeros((0, n), dtype=np.int64)
-            ),
-            total_slots=slot_cursor,
+        The one-member, one-seed case of
+        :func:`~repro.core.cseek_batch.run_cseek_lockstep`, which also
+        opens the telemetry stage span.
+        """
+        from repro.core.cseek_batch import (
+            CSeekBatch,
+            LockstepMember,
+            run_cseek_lockstep,
         )
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _choose_part2_labels(
-        self,
-        rng: np.random.Generator,
-        tx_role: np.ndarray,
-        counts: np.ndarray,
-    ) -> np.ndarray:
-        return choose_part2_labels(
-            rng, tx_role, counts, policy=self.part2_listener
-        )
+        member = LockstepMember(CSeekBatch.from_serial(self), [self.seed])
+        return run_cseek_lockstep([member])[0][0]
 
     # ------------------------------------------------------------------
     # Batched execution

@@ -1,25 +1,35 @@
-"""Trial-batched CSEEK execution (the harness's protocol fast path).
+"""Lockstep CSEEK execution: every CSEEK run goes through here.
 
-:class:`~repro.core.cseek.CSeek` resolves each part-one COUNT step and
-each part-two back-off window with one engine call — but a Monte Carlo
-sweep still pays that call (plus generator draws, trace scans and
-bookkeeping) once per step *per trial*. Homogeneous trials — one
-network, one configuration, only the seed varying, which is the shape of
-every sweep point in experiments E2/E3/E4/E10/E12 — admit a much better
-schedule: run all ``B`` trials in lockstep, so each part-one step is a
-single :func:`repro.core.count.run_count_step_batch` call and each
-part-two window a single
-:func:`repro.core.cseek.resolve_backoff_batch` call over the whole
-``(B, T, n)`` trial axis.
+CSEEK's schedule is open-loop (Figure 1): each part-one step picks a
+channel, a role and COUNT coins without looking at any earlier outcome,
+and part two reads only part one's final ``counts``. So the steps are
+independent given their draws, and only the order of each trial's
+generator draws is sequential. :func:`run_cseek_lockstep` exploits both
+axes at once:
+
+* **Trials.** ``B`` trials — of one sweep point or of several
+  compatible points — run in lockstep.
+* **Steps.** Each part runs in chunks of ``K`` consecutive steps, with
+  ``K = max(1, _CHUNK_CELLS // (B * T * n))`` for step length ``T``.
+  Every trial draws the chunk's labels, roles and coins in schedule
+  order into ``(B, K, ...)`` arrays, and the whole chunk resolves as one
+  :func:`repro.core.count.resolve_count_step_batch` (part one) or
+  :func:`repro.sim.engine.resolve_step_batch` (part two) call over
+  ``B * K`` rows, with one jam-mask gather and one trace scan.
+
+Serial :meth:`CSeek.run <repro.core.cseek.CSeek.run>` is the one-member,
+one-seed case (``B = 1``), and :meth:`CSeekBatch.run` the one-member
+case.
 
 Bit-exactness contract: trial ``b`` draws from its *own* generators
-(``RngHub(seed_b).child(rng_label)``) in exactly the order
-:meth:`CSeek.run` draws them — labels, roles, then engine coins per
-step; per-trial traffic streams advance independently — so
-``CSeekBatch.run(seeds)[b] == CSeek(seed=seeds[b]).run()`` field for
-field. Batching is a pure throughput decision, which is what lets the
-``jobs="batch"`` executor strategy route whole protocol runs through
-this module without perturbing any experiment table.
+(``RngHub(seed_b).child(rng_label)``) in exactly the order of a
+step-by-step execution — labels, roles, then engine coins per step;
+per-trial traffic streams advance independently, and occupancy never
+depends on the channels — so results are field-for-field identical
+whatever the trial grouping or the chunk size. Batching is a pure
+throughput decision, which is what lets every executor strategy route
+protocol runs through this module without perturbing any experiment
+table. The step-by-step program survives as the test reference.
 
 The same runner serves CKSEEK (different budgets, same machinery — build
 it from a :class:`~repro.core.ckseek.CKSeek` prototype via
@@ -27,18 +37,13 @@ it from a :class:`~repro.core.ckseek.CKSeek` prototype via
 discovery phase (:func:`batched_discovery` + the ``discovery=``
 injection parameter on :class:`~repro.core.cgcast.CGCast`).
 
-Cross-point batching: :func:`run_cseek_lockstep` is the general form —
-it locksteps trials of *several* :class:`CSeekBatch` members at once
-(one per sweep point), provided they share a compatibility signature
-(:func:`lockstep_signature`: node/channel counts, step budgets,
-listener policy, rng namespace, knowledge, constants). Member networks
-may differ: the engine resolves against a per-trial ``(B, n, n)``
-adjacency stack when they do. The trial axis is the plain concatenation
-of every member's seeds, so ragged per-point trial counts need no
-padding — each trial draws from its own generators either way, which is
-also why per-trial bit-identity to the serial protocol is preserved
-member by member. :meth:`CSeekBatch.run` is the single-member special
-case.
+Cross-point batching: members of one lockstep run must share a
+compatibility signature (:func:`lockstep_signature`: node/channel
+counts, step budgets, listener policy, rng namespace, knowledge,
+constants). Member networks may differ: the engine then resolves
+against a per-trial ``(B * K, n, n)`` adjacency stack. The trial axis
+is the plain concatenation of every member's seeds, so ragged
+per-point trial counts need no padding.
 """
 
 from __future__ import annotations
@@ -50,16 +55,17 @@ import numpy as np
 
 from repro import obs
 from repro.core.constants import ProtocolConstants
-from repro.core.count import count_schedule, run_count_step_batch
+from repro.core.count import count_probabilities, resolve_count_step_batch
 from repro.core.cseek import (
     CSeek,
     CSeekResult,
     ListenerPolicy,
+    backoff_probabilities,
     choose_part2_labels,
-    resolve_backoff_batch,
 )
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
+from repro.sim.engine import BatchStepOutcome, resolve_step_batch
 from repro.sim.environment import SpectrumEnvironment
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
@@ -98,11 +104,10 @@ class CSeekBatch:
             embedded discovery uses ``"cgcast.discovery"``).
         environment: Optional spectrum environment
             (:class:`~repro.sim.environment.SpectrumEnvironment`); one
-            batched traffic stream covers all trials, so every
-            protocol step jams the whole trial axis with a single call
-            — this is what removed the per-trial Markov loop from the
-            batched hot path. Per trial, occupancy is bit-identical to
-            the serial ``CSeek(..., environment=...)`` execution.
+            batched traffic stream covers all trials, so every chunk
+            of protocol steps jams the whole trial axis with a single
+            call. Per trial, occupancy is bit-identical to a one-trial
+            ``CSeek(..., environment=...)`` execution.
     """
 
     def __init__(
@@ -234,20 +239,30 @@ def lockstep_signature(batch: CSeekBatch) -> tuple:
     )
 
 
+#: Engine cells (trials x slots x nodes) one chunk of lockstep steps
+#: resolves at once: each part runs in chunks of
+#: ``K = max(1, _CHUNK_CELLS // (B * T * n))`` consecutive steps.
+_CHUNK_CELLS = 2**16
+
+
 def run_cseek_lockstep(
     members: Sequence[LockstepMember],
 ) -> List[List[CSeekResult]]:
     """Run every member's trials in one cross-point lockstep execution.
 
     All members must share :func:`lockstep_signature`; their networks
-    and environments may differ. Each part-one step and part-two window
-    resolves as *one* engine call over the concatenated trial axis —
-    with a shared adjacency when every member's network coincides (the
-    single-point case), or a per-trial ``(B, n, n)`` stack otherwise.
-    Per trial, generator draws, jam masks and bookkeeping are exactly
-    those of a per-member :meth:`CSeekBatch.run`, so results are
-    bit-identical to the per-point path (and hence to serial
-    :meth:`CSeek.run`) member by member.
+    and environments may differ. CSEEK's schedule is open-loop — no
+    step looks at an earlier step's outcome, and part two reads only
+    part one's final ``counts`` — so each part runs in chunks of ``K``
+    consecutive steps: every trial draws the chunk's labels, roles and
+    coins in schedule order from its own generators, then the whole
+    ``(B * K)``-row chunk resolves as *one* engine call, against a
+    shared adjacency when every member's network coincides (the
+    single-point case) or a per-trial stack otherwise. Per trial,
+    generator draws, jam masks and bookkeeping are those of a plain
+    step-by-step execution, so results are bit-identical whatever the
+    grouping or chunking — serial :meth:`CSeek.run` is the one-member,
+    one-seed case.
 
     Returns:
         One result list per member, in member order, each in the
@@ -289,21 +304,27 @@ def run_cseek_lockstep(
     ]
     tables = [m.batch.network.channel_table() for m in members]
     adjacencies = [m.batch.network.adjacency for m in members]
-    if all(
+    shared_graph = all(
         a is adjacencies[0] or np.array_equal(a, adjacencies[0])
         for a in adjacencies[1:]
-    ):
-        # One shared graph (always true for a single member): keep the
-        # 2-D adjacency so the engine's shared-mask path applies.
-        adjacency = adjacencies[0]
-    else:
-        adjacency = np.concatenate(
+    )
+    rows = np.arange(n)
+
+    def chunk_adjacency(steps: int) -> np.ndarray:
+        """The engine adjacency for a ``(B * steps)``-row chunk.
+
+        One shared graph (always true for a single member) keeps the
+        2-D adjacency; otherwise trial ``b``'s graph repeats once per
+        step of the chunk.
+        """
+        if shared_graph:
+            return adjacencies[0]
+        return np.concatenate(
             [
-                np.broadcast_to(adj, (cnt, n, n))
+                np.broadcast_to(adj, (cnt * steps, n, n))
                 for adj, cnt in zip(adjacencies, per_member)
             ]
         )
-    rows = np.arange(n)
 
     hubs = [
         RngHub(s).child(proto.rng_label)
@@ -311,7 +332,7 @@ def run_cseek_lockstep(
         for s in seeds
     ]
     # One batched stream per jammed member: a single jam-mask gather
-    # per protocol step, no per-trial loop.
+    # per chunk, no per-trial loop.
     traffics = [
         m.batch.environment.streams(seeds)
         if m.batch.environment is not None
@@ -319,8 +340,15 @@ def run_cseek_lockstep(
         for m, seeds in zip(members, seed_lists)
     ]
 
+    def chunk_channels(labels: np.ndarray) -> np.ndarray:
+        """``(B, K, n)`` global channels from per-member local labels."""
+        channels = np.empty(labels.shape, dtype=np.int64)
+        for sl, table in zip(slices, tables):
+            channels[sl] = table[rows, labels[sl]]
+        return channels
+
     def gather_jam(channels: np.ndarray, num_slots: int):
-        """Per-member jam gathers assembled over the full trial axis.
+        """``(B * K, num_slots, n)`` jam masks over the full trial axis.
 
         Unjammed members contribute zeros, which the engine treats
         exactly like the no-jam path — so mixing jammed and unjammed
@@ -328,63 +356,92 @@ def run_cseek_lockstep(
         """
         if all(t is None for t in traffics):
             return None
-        jam = np.zeros((num_trials, num_slots, n), dtype=bool)
+        trials, steps, _ = channels.shape
+        jam = np.zeros((trials, steps, num_slots, n), dtype=bool)
         for sl, traffic in zip(slices, traffics):
             if traffic is not None:
                 jam[sl] = traffic.jam_mask(channels[sl], num_slots)
-        return jam
+        return jam.reshape(trials * steps, num_slots, n)
 
     counts = np.zeros((num_trials, n, c), dtype=np.float64)
     traces = [TraceRecorder() for _ in range(num_trials)]
     ledgers = [SlotLedger() for _ in range(num_trials)]
     step_starts: List[int] = []
-    # Per-step (B, n) channel snapshots, re-sliced per trial at the end.
+    # Per-chunk (B, K, n) channel snapshots, joined per trial at the end.
     step_channels: List[np.ndarray] = []
     slot_cursor = 0
 
-    count_rounds, count_round_len = count_schedule(
-        kn.max_degree, kn.log_n, proto.constants
-    )
-    count_slots = count_rounds * count_round_len
+    def book_chunk(
+        step: BatchStepOutcome, channels: np.ndarray, phase: str
+    ) -> None:
+        """Trace, ledger and step bookkeeping for one resolved chunk."""
+        nonlocal slot_cursor
+        trials, steps, _ = channels.shape
+        step_len = step.num_slots
+        span_slots = steps * step_len
+        record_step_batch(
+            traces,
+            BatchStepOutcome(
+                heard_from=step.heard_from.reshape(trials, span_slots, n),
+                contenders=step.contenders.reshape(trials, span_slots, n),
+            ),
+            slot_cursor,
+            f"cseek.{phase}",
+            channels=channels,
+        )
+        step_starts.extend(
+            range(slot_cursor, slot_cursor + span_slots, step_len)
+        )
+        step_channels.append(channels)
+        slot_cursor += span_slots
+        for ledger in ledgers:
+            ledger.charge(phase, span_slots)
 
+    def chunks(budget: int, step_len: int):
+        """Step counts of the chunks that cover ``budget`` steps."""
+        size = max(1, _CHUNK_CELLS // (num_trials * step_len * n))
+        for done in range(0, budget, size):
+            yield min(size, budget - done)
+
+    count_probs = count_probabilities(
+        kn.max_degree, kn.log_n, proto.constants
+    )[:, None]
+    count_slots = count_probs.shape[0]
     rng1 = [hub.generator("part1") for hub in hubs]
     with obs.span(stage):
-        for _ in range(proto.part1_step_budget):
-            labels = np.empty((num_trials, n), dtype=np.int64)
-            tx_role = np.empty((num_trials, n), dtype=bool)
-            for b in range(num_trials):
-                labels[b] = rng1[b].integers(0, c, size=n)
-                tx_role[b] = rng1[b].random(n) < 0.5
-            channels = np.empty((num_trials, n), dtype=np.int64)
-            for sl, table in zip(slices, tables):
-                channels[sl] = table[rows[None, :], labels[sl]]
-            jam = gather_jam(channels, count_slots)
-            outcome = run_count_step_batch(
-                adjacency,
-                channels,
-                tx_role,
+        for steps in chunks(proto.part1_step_budget, count_slots):
+            labels = np.empty((num_trials, steps, n), dtype=np.int64)
+            # Per step: the role uniforms (row 0), then the COUNT coin
+            # uniforms — consecutive draws of one generator, so one
+            # random() fill per step equals the two separate draws.
+            uniforms = np.empty((num_trials, steps, count_slots + 1, n))
+            for b, rng in enumerate(rng1):
+                for s in range(steps):
+                    labels[b, s] = rng.integers(0, c, size=n)
+                    rng.random(out=uniforms[b, s])
+            tx_role = uniforms[:, :, 0, :] < 0.5
+            coins = uniforms[:, :, 1:, :] < count_probs
+            channels = chunk_channels(labels)
+            outcome = resolve_count_step_batch(
+                chunk_adjacency(steps),
+                channels.reshape(-1, n),
+                tx_role.reshape(-1, n),
+                coins.reshape(-1, count_slots, n),
                 max_count=kn.max_degree,
                 log_n=kn.log_n,
                 constants=proto.constants,
-                rngs=rng1,
-                jam=jam,
+                jam=gather_jam(channels, count_slots),
             )
-            listeners = ~tx_role
-            b_idx, u_idx = np.nonzero(listeners)
-            # (b, u) pairs are unique, so plain fancy-index
-            # accumulation matches the serial += exactly.
-            counts[b_idx, u_idx, labels[b_idx, u_idx]] += (
-                outcome.estimates[b_idx, u_idx]
+            estimates = outcome.estimates.reshape(num_trials, steps, n)
+            b_idx, s_idx, u_idx = np.nonzero(~tx_role)
+            # np.add.at accumulates unbuffered in index order — step
+            # order per (trial, node) — exactly as per-step += would.
+            np.add.at(
+                counts,
+                (b_idx, u_idx, labels[b_idx, s_idx, u_idx]),
+                estimates[b_idx, s_idx, u_idx],
             )
-            record_step_batch(
-                traces, outcome.step, slot_cursor, "cseek.part1",
-                channels=channels,
-            )
-            step_starts.append(slot_cursor)
-            step_channels.append(channels)
-            slot_cursor += outcome.num_slots
-            for ledger in ledgers:
-                ledger.charge("part1", outcome.num_slots)
+            book_chunk(outcome.step, channels, "part1")
 
     discovered_part_one = [
         [set(trace.heard_by(u)) for u in range(n)] for trace in traces
@@ -392,38 +449,34 @@ def run_cseek_lockstep(
 
     rng2 = [hub.generator("part2") for hub in hubs]
     backoff_len = kn.log_delta
+    backoff_probs = backoff_probabilities(backoff_len)[:, None]
+    policy = proto.part2_listener
     with obs.span(stage):
-        for _ in range(proto.part2_step_budget):
-            labels = np.empty((num_trials, n), dtype=np.int64)
-            tx_role = np.empty((num_trials, n), dtype=bool)
-            for b in range(num_trials):
-                tx_role[b] = rng2[b].random(n) < 0.5
-                labels[b] = choose_part2_labels(
-                    rng2[b], tx_role[b], counts[b],
-                    policy=proto.part2_listener,
-                )
-            channels = np.empty((num_trials, n), dtype=np.int64)
-            for sl, table in zip(slices, tables):
-                channels[sl] = table[rows[None, :], labels[sl]]
-            jam = gather_jam(channels, backoff_len)
-            outcome = resolve_backoff_batch(
-                adjacency, channels, tx_role, backoff_len, rng2, jam=jam
+        for steps in chunks(proto.part2_step_budget, backoff_len):
+            labels = np.empty((num_trials, steps, n), dtype=np.int64)
+            tx_role = np.empty((num_trials, steps, n), dtype=bool)
+            uniforms = np.empty((num_trials, steps, backoff_len, n))
+            for b, rng in enumerate(rng2):
+                for s in range(steps):
+                    tx_role[b, s] = role = rng.random(n) < 0.5
+                    labels[b, s] = choose_part2_labels(
+                        rng, role, counts[b], policy=policy
+                    )
+                    rng.random(out=uniforms[b, s])
+            channels = chunk_channels(labels)
+            outcome = resolve_step_batch(
+                chunk_adjacency(steps),
+                channels.reshape(-1, n),
+                tx_role.reshape(-1, n),
+                (uniforms < backoff_probs).reshape(-1, backoff_len, n),
+                jam=gather_jam(channels, backoff_len),
             )
-            record_step_batch(
-                traces, outcome, slot_cursor, "cseek.part2",
-                channels=channels,
-            )
-            step_starts.append(slot_cursor)
-            step_channels.append(channels)
-            slot_cursor += backoff_len
-            for ledger in ledgers:
-                ledger.charge("part2", backoff_len)
+            book_chunk(outcome, channels, "part2")
 
-    # (S, B, n) -> per-trial (S, n) slices, matching serial vstack.
     all_channels = (
-        np.stack(step_channels)
+        np.concatenate(step_channels, axis=1)
         if step_channels
-        else np.zeros((0, num_trials, n), dtype=np.int64)
+        else np.zeros((num_trials, 0, n), dtype=np.int64)
     )
     step_start_arr = np.array(step_starts, dtype=np.int64)
     results: List[List[CSeekResult]] = []
@@ -440,9 +493,7 @@ def run_cseek_lockstep(
                     trace=traces[b],
                     ledger=ledgers[b],
                     step_start_slots=step_start_arr,
-                    step_channels=np.ascontiguousarray(
-                        all_channels[:, b, :]
-                    ),
+                    step_channels=all_channels[b],
                     total_slots=slot_cursor,
                 )
             )

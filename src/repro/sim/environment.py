@@ -11,13 +11,15 @@ first-class, pluggable subsystem:
 * :meth:`SpectrumEnvironment.streams` opens one :class:`TrafficStream`
   covering ``B`` Monte Carlo trials at once. The stream produces
   ``(B, num_slots, num_channels)`` occupancy blocks and
-  ``(B, num_slots, n)`` per-node reception-kill masks, advancing all
-  trials' chains in lockstep — this is what lets
-  :class:`repro.core.cseek_batch.CSeekBatch` jam a whole trial axis
-  with one call per protocol step instead of a per-trial Python loop.
+  ``(B, num_slots, n)`` per-node reception-kill masks — or
+  ``(B, K, num_slots, n)`` for ``K`` consecutive steps — advancing all
+  trials' chains in lockstep. This is what lets
+  :func:`repro.core.cseek_batch.run_cseek_lockstep` jam a whole trial
+  axis and a whole chunk of steps with one call instead of a per-trial,
+  per-step Python loop.
 * :meth:`SpectrumEnvironment.stream` is the single-trial view
   (``(num_slots, num_channels)`` / ``(num_slots, n)`` shapes), used by
-  the serial protocol path.
+  single-trial runners (serial COUNT trials, the naive baseline).
 
 Three models ship:
 
@@ -248,34 +250,47 @@ class TrafficStream(ABC):
     def jam_mask(
         self, channels: np.ndarray, num_slots: int
     ) -> np.ndarray:
-        """Per-node reception-kill masks for a fixed-channel step.
+        """Per-node reception-kill masks for fixed-channel steps.
 
         Args:
             channels: ``(n,)`` (shared by every trial) or ``(B, n)``
-                global channel per node (``-1`` idle; idle nodes and
+                global channel per node for one step, or ``(B, K, n)``
+                for ``K`` consecutive steps (``-1`` idle; idle nodes and
                 channels outside the managed set are never jammed).
             num_slots: Step length; every trial's traffic advances by
-                this much.
+                this much per step.
 
         Returns:
-            ``(B, num_slots, n)`` boolean; True where the node's
-            channel is occupied that slot in that trial.
+            ``(B, num_slots, n)`` boolean — ``(B, K, num_slots, n)`` for
+            ``K`` steps — True where the node's channel is occupied
+            that slot in that trial. ``K`` steps draw one
+            ``occupied_block(K * num_slots)``, which equals ``K``
+            successive blocks: occupancy never depends on the channels.
         """
-        occupied = self.occupied_block(num_slots)
         channels = np.asarray(channels)
-        if channels.ndim == 2 and channels.shape[0] != self.num_trials:
+        if channels.ndim >= 2 and channels.shape[0] != self.num_trials:
             raise ProtocolError(
                 f"channels covers {channels.shape[0]} trials, stream "
                 f"has {self.num_trials}"
             )
-        return gather_occupancy(occupied, self._column_lut, channels)
+        if channels.ndim < 3:
+            occupied = self.occupied_block(num_slots)
+            return gather_occupancy(occupied, self._column_lut, channels)
+        trials, steps, n = channels.shape
+        occupied = self.occupied_block(steps * num_slots).reshape(
+            trials * steps, num_slots, self.num_channels
+        )
+        mask = gather_occupancy(
+            occupied, self._column_lut, channels.reshape(trials * steps, n)
+        )
+        return mask.reshape(trials, steps, num_slots, n)
 
 
 class _SerialStream:
     """Single-trial view of a :class:`TrafficStream`.
 
-    Wraps a one-trial stream, dropping the leading trial axis so the
-    serial protocol path (:meth:`CSeek.run`) consumes occupancy blocks
+    Wraps a one-trial stream, dropping the leading trial axis so a
+    single-trial caller consumes occupancy blocks
     ``(num_slots, num_channels)`` and jam masks ``(num_slots, n)``.
     """
 

@@ -68,27 +68,35 @@ class TraceRecorder:
         """Ingest a :class:`StepOutcome` whose first slot is ``start_slot``.
 
         Args:
-            outcome: Engine result for the step.
+            outcome: Engine result for the step (or for ``K``
+                consecutive equal-length steps, slots concatenated).
             start_slot: Global slot index of the step's slot 0.
             phase: Phase label for bookkeeping.
             channels: Optional ``(n,)`` global channel per node during the
-                step (fixed-channel steps), used to annotate events.
+                step (fixed-channel steps), or ``(K, n)`` per step when
+                the outcome spans ``K`` steps; used to annotate events.
         """
         heard = outcome.heard_from
         slots, listeners = np.nonzero(heard >= 0)
         if slots.size == 0:
             return
         senders = heard[slots, listeners]
+        event_channels = _event_channels(
+            channels, slots, listeners, heard.shape[0]
+        )
         if self.verbose:
-            for t, u, s in zip(
-                slots.tolist(), listeners.tolist(), senders.tolist()
+            for t, u, s, g in zip(
+                slots.tolist(),
+                listeners.tolist(),
+                senders.tolist(),
+                event_channels.tolist(),
             ):
                 self.events.append(
                     ReceptionEvent(
                         slot=start_slot + t,
                         listener=u,
                         sender=s,
-                        channel=int(channels[u]) if channels is not None else -1,
+                        channel=g,
                         phase=phase,
                     )
                 )
@@ -102,12 +110,11 @@ class TraceRecorder:
             key = (int(listeners[i]), int(senders[i]))
             if key in self.first_heard:
                 continue
-            u = key[0]
             self.first_heard[key] = ReceptionEvent(
                 slot=start_slot + int(slots[i]),
-                listener=u,
+                listener=key[0],
                 sender=key[1],
-                channel=int(channels[u]) if channels is not None else -1,
+                channel=int(event_channels[i]),
                 phase=phase,
             )
 
@@ -137,6 +144,30 @@ class TraceRecorder:
         return len(self.first_heard)
 
 
+def _event_channels(
+    channels: Optional[np.ndarray],
+    slots: np.ndarray,
+    listeners: np.ndarray,
+    num_slots: int,
+    trials: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Global channel of each reception ``(trial, slot, listener)``.
+
+    ``channels`` holds one channel per node (last axis), optionally per
+    trial (leading axis, when ``trials`` is given) and per step: with
+    ``K`` steps over ``num_slots`` slots, slot ``t`` lies in step
+    ``t // (num_slots // K)``. None annotates every event with ``-1``.
+    """
+    if channels is None:
+        return np.full(slots.shape, -1, dtype=np.int64)
+    index = (listeners,)
+    if channels.ndim == (2 if trials is None else 3):
+        index = (slots // (num_slots // channels.shape[-2]),) + index
+    if trials is not None:
+        index = (trials,) + index
+    return channels[index]
+
+
 def record_step_batch(
     recorders: Sequence[TraceRecorder],
     outcome: BatchStepOutcome,
@@ -155,12 +186,14 @@ def record_step_batch(
 
     Args:
         recorders: One recorder per trial (length ``B``).
-        outcome: Batched engine result for the step.
+        outcome: Batched engine result for the step — or for ``K``
+            consecutive equal-length steps, slots concatenated.
         start_slot: Global slot index of the step's slot 0 (shared by all
             trials — they run in lockstep).
         phase: Phase label for bookkeeping.
         channels: Optional ``(B, n)`` per-trial global channels during
-            the step, used to annotate events.
+            the step, or ``(B, K, n)`` per step when the outcome spans
+            ``K`` steps; used to annotate events.
     """
     heard = outcome.heard_from
     if len(recorders) != heard.shape[0]:
@@ -188,16 +221,25 @@ def record_step_batch(
         trials.astype(np.int64) * n + listeners.astype(np.int64)
     ) * n + senders.astype(np.int64)
     _, first_idx = np.unique(keys, return_index=True)
-    for i in first_idx.tolist():
-        b = int(trials[i])
-        key = (int(listeners[i]), int(senders[i]))
+    trials, slots = trials[first_idx], slots[first_idx]
+    listeners, senders = listeners[first_idx], senders[first_idx]
+    event_channels = _event_channels(
+        channels, slots, listeners, heard.shape[1], trials=trials
+    )
+    for b, t, u, s, g in zip(
+        trials.tolist(),
+        slots.tolist(),
+        listeners.tolist(),
+        senders.tolist(),
+        event_channels.tolist(),
+    ):
         first_heard = recorders[b].first_heard
-        if key in first_heard:
+        if (u, s) in first_heard:
             continue
-        first_heard[key] = ReceptionEvent(
-            slot=start_slot + int(slots[i]),
-            listener=key[0],
-            sender=key[1],
-            channel=int(channels[b, key[0]]) if channels is not None else -1,
+        first_heard[(u, s)] = ReceptionEvent(
+            slot=start_slot + t,
+            listener=u,
+            sender=s,
+            channel=g,
             phase=phase,
         )

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core import CKSeek, CSeek, verify_k_discovery
 from repro.model import ProtocolError, SpecError
+from repro.sim import MarkovTraffic
+
+from cseek_reference import assert_results_equal, reference_cseek
 
 
 class TestBudgets:
@@ -50,6 +53,19 @@ class TestFilterDiscovery:
         truth = hetero_net.true_neighbor_sets()
         for u in range(hetero_net.n):
             assert result.discovered[u] <= set(truth[u])
+
+    def test_run_matches_step_by_step_reference(self, hetero_net):
+        kn = hetero_net.knowledge()
+        env = MarkovTraffic(
+            sorted(hetero_net.assignment.universe()),
+            activity=0.3,
+            mean_dwell=4.0,
+        )
+        for environment in (None, env):
+            proto = CKSeek(
+                hetero_net, khat=kn.kmax, seed=4, environment=environment
+            )
+            assert_results_equal(proto.run(), reference_cseek(proto))
 
     def test_khat_equal_k_degenerates_to_cseek_budget(self, hetero_net):
         kn = hetero_net.knowledge()

@@ -2,9 +2,10 @@
 
 Every test pins the same invariant from a different angle: running ``B``
 trials through :class:`repro.core.cseek_batch.CSeekBatch` must be
-bit-identical, per trial, to ``B`` serial :meth:`CSeek.run` executions —
-including the hard paths (primary-user jamming, the uniform-listener
-ablation, CKSEEK budgets, CGCAST's embedded discovery).
+bit-identical, per trial, to ``B`` step-by-step executions of the
+reference program in ``cseek_reference.py`` — including the hard paths
+(primary-user jamming, the uniform-listener ablation, CKSEEK budgets,
+CGCAST's embedded discovery).
 """
 
 from __future__ import annotations
@@ -26,19 +27,9 @@ from repro.core.cseek_batch import LockstepMember, run_cseek_lockstep
 from repro.sim import MarkovTraffic
 from repro.sim.trace import TraceRecorder, record_step_batch
 
+from cseek_reference import assert_results_equal, reference_cseek
+
 SEEDS = [3, 17, 99]
-
-
-def assert_results_equal(got, ref):
-    """Field-by-field bit-identity of two CSeekResults."""
-    assert got.discovered == ref.discovered
-    assert got.discovered_part_one == ref.discovered_part_one
-    assert np.array_equal(got.counts, ref.counts)
-    assert np.array_equal(got.step_start_slots, ref.step_start_slots)
-    assert np.array_equal(got.step_channels, ref.step_channels)
-    assert got.total_slots == ref.total_slots
-    assert got.ledger.as_dict() == ref.ledger.as_dict()
-    assert got.trace.first_heard == ref.trace.first_heard
 
 
 class TestPlainEquivalence:
@@ -46,27 +37,27 @@ class TestPlainEquivalence:
         batch = CSeekBatch(small_path_net).run(SEEDS)
         for b, s in enumerate(SEEDS):
             assert_results_equal(
-                batch[b], CSeek(small_path_net, seed=s).run()
+                batch[b], reference_cseek(CSeek(small_path_net, seed=s))
             )
 
     def test_regular_net_reduced_budget(self, small_regular_net):
         kwargs = dict(part1_steps=25, part2_steps=40)
         batch = CSeekBatch(small_regular_net, **kwargs).run(SEEDS)
         for b, s in enumerate(SEEDS):
-            assert_results_equal(
-                batch[b], CSeek(small_regular_net, seed=s, **kwargs).run()
-            )
+            ref = reference_cseek(CSeek(small_regular_net, seed=s, **kwargs))
+            assert_results_equal(batch[b], ref)
 
     def test_zero_budgets(self, small_path_net):
         kwargs = dict(part1_steps=0, part2_steps=0)
         batch = CSeekBatch(small_path_net, **kwargs).run([5])
-        ref = CSeek(small_path_net, seed=5, **kwargs).run()
+        ref = reference_cseek(CSeek(small_path_net, seed=5, **kwargs))
         assert_results_equal(batch[0], ref)
         assert batch[0].total_slots == 0
 
     def test_single_trial(self, small_path_net):
         batch = CSeekBatch(small_path_net).run([42])
-        assert_results_equal(batch[0], CSeek(small_path_net, seed=42).run())
+        ref = reference_cseek(CSeek(small_path_net, seed=42))
+        assert_results_equal(batch[0], ref)
 
     def test_empty_seed_list_rejected(self, small_path_net):
         with pytest.raises(ProtocolError):
@@ -84,7 +75,9 @@ class TestJammedEquivalence:
         env = self._environment(small_path_net)
         batch = CSeekBatch(small_path_net, environment=env).run(SEEDS)
         for b, s in enumerate(SEEDS):
-            ref = CSeek(small_path_net, seed=s, environment=env).run()
+            ref = reference_cseek(
+                CSeek(small_path_net, seed=s, environment=env)
+            )
             assert_results_equal(batch[b], ref)
 
     def test_jamming_changes_outcomes(self, small_path_net):
@@ -112,10 +105,13 @@ class TestJammedEquivalence:
             ]
         )
         for got, s in zip(jammed, jammed_seeds):
-            ref = CSeek(small_path_net, seed=s, environment=env).run()
+            ref = reference_cseek(
+                CSeek(small_path_net, seed=s, environment=env)
+            )
             assert_results_equal(got, ref)
         for got, s in zip(clear, clear_seeds):
-            assert_results_equal(got, CSeek(small_path_net, seed=s).run())
+            ref = reference_cseek(CSeek(small_path_net, seed=s))
+            assert_results_equal(got, ref)
 
     @pytest.mark.parametrize("kind", ["cseek", "ckseek"])
     def test_rerun_is_reproducible(self, small_path_net, kind):
@@ -127,6 +123,7 @@ class TestJammedEquivalence:
         else:
             proto = CKSeek(small_path_net, khat=2, seed=17, environment=env)
         first = proto.run()
+        assert_results_equal(first, reference_cseek(proto))
         assert_results_equal(proto.run(), first)
         assert_results_equal(proto.batch().run([17])[0], first)
 
@@ -139,7 +136,7 @@ class TestUniformListenerEquivalence:
         batch = CSeekBatch(star_net, **kwargs).run(SEEDS)
         for b, s in enumerate(SEEDS):
             assert_results_equal(
-                batch[b], CSeek(star_net, seed=s, **kwargs).run()
+                batch[b], reference_cseek(CSeek(star_net, seed=s, **kwargs))
             )
 
     def test_weighted_starved_star_matches_serial(self, star_net):
@@ -149,7 +146,7 @@ class TestUniformListenerEquivalence:
         batch = CSeekBatch(star_net, **kwargs).run(SEEDS)
         for b, s in enumerate(SEEDS):
             assert_results_equal(
-                batch[b], CSeek(star_net, seed=s, **kwargs).run()
+                batch[b], reference_cseek(CSeek(star_net, seed=s, **kwargs))
             )
 
 
@@ -163,7 +160,7 @@ class TestProtocolReuse:
         proto = make(0)
         batch = proto.batch().run(SEEDS)
         for b, s in enumerate(SEEDS):
-            assert_results_equal(batch[b], make(s).run())
+            assert_results_equal(batch[b], reference_cseek(make(s)))
 
     def test_from_serial_copies_configuration(self, small_path_net):
         proto = CSeek(
@@ -180,14 +177,16 @@ class TestProtocolReuse:
         assert batch.part2_listener == "uniform"
         assert_results_equal(
             batch.run([55])[0],
-            CSeek(
-                small_path_net,
-                seed=55,
-                part1_steps=7,
-                part2_steps=9,
-                part2_listener="uniform",
-                rng_label="custom",
-            ).run(),
+            reference_cseek(
+                CSeek(
+                    small_path_net,
+                    seed=55,
+                    part1_steps=7,
+                    part2_steps=9,
+                    part2_listener="uniform",
+                    rng_label="custom",
+                )
+            ),
         )
 
     def test_cgcast_discovery_injection(self, clique_chain_net):

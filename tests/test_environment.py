@@ -5,8 +5,8 @@ behind ``MarkovTraffic`` is bit-identical to the per-slot ON/OFF
 recurrence it replaced (kept below as the oracle), and the batched
 stream matches the single-trial one per trial; (2) the gather-based
 ``jam_mask`` equals the old per-node loop on every channel shape; and
-(3) the protocol layer produces identical results whether traffic
-reaches the serial or the trial-batched runner.
+(3) the protocol layer's batched runner reproduces the step-by-step
+reference program under traffic.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from repro.sim import (
     make_environment,
 )
 from repro.sim.environment import markov_run
+
+from cseek_reference import reference_cseek
 
 IDS = [2, 5, 9, 14]
 SEEDS = [3, 17, 99]
@@ -295,6 +297,40 @@ class TestJamMaskGather:
             ref = reference_jam_mask(occupied[b], IDS, channels[b])
             assert np.array_equal(mask[b], ref)
 
+    @pytest.mark.parametrize(
+        "env_factory",
+        [
+            lambda: MarkovTraffic(
+                IDS, activity=0.5, mean_dwell=3.0, seed_offset=0
+            ),
+            lambda: PoissonTraffic(IDS, activity=0.5, seed_offset=0),
+            lambda: StaticMask(IDS),
+        ],
+        ids=["markov", "poisson", "static"],
+    )
+    def test_multi_step_mask_equals_successive_steps(self, env_factory):
+        # (B, K, n) per-step channels draw one K*T block; it must equal
+        # K successive single-step calls on a twin stream.
+        rng = np.random.default_rng(1)
+        steps, slots = 5, 7
+        channels = rng.choice(
+            [-1, 0, 2, 5, 9, 14, 99], size=(len(SEEDS), steps, 6)
+        )
+        chunked = env_factory().streams(SEEDS).jam_mask(channels, slots)
+        twin = env_factory().streams(SEEDS)
+        stepwise = np.stack(
+            [twin.jam_mask(channels[:, k], slots) for k in range(steps)],
+            axis=1,
+        )
+        assert chunked.shape == (len(SEEDS), steps, slots, 6)
+        assert np.array_equal(chunked, stepwise)
+        # Both streams end in the same state.
+        tail = env_factory().streams(SEEDS)
+        tail.jam_mask(channels, slots)
+        assert np.array_equal(
+            tail.occupied_block(9), twin.occupied_block(9)
+        )
+
     def test_shared_row_equals_repeated_rows(self):
         # A (n,) channel row takes the shared-row gather, a (B, n)
         # stack the flat-index one; both must read the same occupancy.
@@ -381,7 +417,9 @@ class TestProtocolIntegration:
         env = self._env(small_path_net, model)
         batch = CSeekBatch(small_path_net, environment=env).run(SEEDS)
         for b, s in enumerate(SEEDS):
-            ref = CSeek(small_path_net, seed=s, environment=env).run()
+            ref = reference_cseek(
+                CSeek(small_path_net, seed=s, environment=env)
+            )
             assert batch[b].discovered == ref.discovered
             assert np.array_equal(batch[b].counts, ref.counts)
             assert batch[b].trace.first_heard == ref.trace.first_heard
@@ -408,9 +446,9 @@ class TestProtocolIntegration:
         batch = proto.batch()
         assert batch.environment is env
         got = batch.run([SEEDS[0]])[0]
-        ref = CSeek(
-            small_path_net, seed=SEEDS[0], environment=env
-        ).run()
+        ref = reference_cseek(
+            CSeek(small_path_net, seed=SEEDS[0], environment=env)
+        )
         assert got.trace.first_heard == ref.trace.first_heard
 
     @pytest.mark.integration

@@ -8,6 +8,8 @@ from repro.core import CSeek, ProtocolConstants, run_count_step
 from repro.graphs import build_network, cycle, path, random_regular
 from repro.sim import MarkovTraffic
 
+from cseek_reference import assert_results_equal, chunk_cells, reference_cseek
+
 
 @st.composite
 def small_network(draw):
@@ -63,6 +65,18 @@ class TestCSeekInvariants:
         for (u, v), event in result.trace.first_heard.items():
             assert event.channel in net.shared_channels(u, v)
             assert 0 <= event.slot < result.total_slots
+
+    @given(small_network(), st.sampled_from([1, 64, None]))
+    @settings(max_examples=15, deadline=None)
+    def test_chunked_run_matches_step_by_step_reference(self, case, cells):
+        """Serial CSEEK resolves chunks of steps per engine call; any
+        chunking (one step, a few, the default) must reproduce the
+        one-step-at-a-time program."""
+        net, seed = case
+        proto = CSeek(net, seed=seed, part1_steps=7, part2_steps=11)
+        with chunk_cells(cells):
+            got = proto.run()
+        assert_results_equal(got, reference_cseek(proto))
 
 
 class TestCountInvariants:

@@ -3,7 +3,7 @@
 The invariant everywhere: grouping compatible sweep points into one
 lockstep execution is a pure throughput decision — every trial's result
 stays bit-identical to the per-point ``CSeekBatch`` path and to the
-serial trials, for plain, jammed, ragged-trial-count and mixed-shape
+step-by-step reference program, for plain, jammed, ragged-trial-count and mixed-shape
 workloads, and scenario rows are byte-identical under every ``jobs``
 value.
 """
@@ -50,7 +50,7 @@ from repro.sim import MarkovTraffic
 from repro.sim.engine import resolve_step, resolve_step_batch
 from repro.sim.rng import RngHub
 
-from tests.test_cseek_batch import assert_results_equal
+from cseek_reference import assert_results_equal, reference_cseek
 
 SEEDS_A = [3, 17, 99]
 SEEDS_B = [7, 41]  # ragged on purpose
@@ -77,8 +77,8 @@ class TestLockstepEquivalence:
                 LockstepMember(CSeekBatch(cycle_net), SEEDS_B),
             ]
         )
-        ref_a = CSeekBatch(path_net).run(SEEDS_A)
-        ref_b = CSeekBatch(cycle_net).run(SEEDS_B)
+        ref_a = [reference_cseek(CSeek(path_net, seed=s)) for s in SEEDS_A]
+        ref_b = [reference_cseek(CSeek(cycle_net, seed=s)) for s in SEEDS_B]
         for g, r in zip(got[0], ref_a):
             assert_results_equal(g, r)
         for g, r in zip(got[1], ref_b):
@@ -99,7 +99,7 @@ class TestLockstepEquivalence:
             ]
         )
         for g, s in zip(got[0], SEEDS_A):
-            ref = CSeek(path_net, seed=s, environment=env).run()
+            ref = reference_cseek(CSeek(path_net, seed=s, environment=env))
             assert_results_equal(g, ref)
         for g, r in zip(got[1], CSeekBatch(cycle_net).run(SEEDS_B)):
             assert_results_equal(g, r)
