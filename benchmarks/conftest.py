@@ -1,8 +1,9 @@
 """Shared benchmark fixtures.
 
-Every benchmark regenerates (a slice of) one experiment from DESIGN.md's
-index; `pytest benchmarks/ --benchmark-only` therefore both times the
-implementation and re-derives the rows recorded in EXPERIMENTS.md.
+Every benchmark regenerates (a slice of) one of the E1-E12 experiments
+registered in `repro.scenarios.paper`; `pytest benchmarks/
+--benchmark-only` therefore both times the implementation and
+re-derives that experiment's rows.
 Benchmarks print their table via ``print`` so ``-s`` shows the rows.
 """
 

@@ -18,8 +18,8 @@ Pipeline (paper, Section 5.2):
 The ``exchange_mode`` knob selects whether steps 2-4 *simulate* their
 CSEEK executions slot-by-slot (``"simulated"``) or deliver messages along
 discovered pairs while charging the CSEEK slot cost (``"oracle"``, the
-black-box reading used for large sweeps — see DESIGN.md §2). Dissemination
-is always simulated at slot level.
+black-box reading used for large sweeps — see :mod:`repro.core.exchange`).
+Dissemination is always simulated at slot level.
 """
 
 from __future__ import annotations
@@ -29,18 +29,10 @@ from typing import Dict, List, Literal, Optional, Tuple
 
 import numpy as np
 
-from repro import obs
-from repro.core.coloring import (
-    ColoringResult,
-    LubyEdgeColoring,
-    is_valid_edge_coloring,
-)
+from repro.core.coloring import ColoringResult
 from repro.core.constants import ProtocolConstants
-from repro.core.cseek import CSeek, CSeekResult
-from repro.core.dedicated import agree_dedicated_channels, first_heard_payloads
+from repro.core.cseek import CSeekResult
 from repro.core.dissemination import DisseminationResult, run_dissemination
-from repro.core.exchange import oracle_exchange, simulated_exchange
-from repro.core.linegraph import LineGraph
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
 from repro.sim.metrics import SlotLedger
@@ -68,6 +60,8 @@ class CGCastResult:
         dissemination: The underlying dissemination result.
         edge_colors: The announced proper edge coloring (reusable).
         dedicated: The agreed per-edge dedicated channels (reusable).
+        knowledge: The global parameters the schedule was built with.
+        constants: The schedule constants the schedule was built with.
         success: True iff every node was informed.
 
     The ``edge_colors`` / ``dedicated`` artifacts are the amortizable
@@ -85,6 +79,8 @@ class CGCastResult:
     dissemination: DisseminationResult
     edge_colors: Dict[Edge, int]
     dedicated: Dict[Edge, int]
+    knowledge: ModelKnowledge
+    constants: ProtocolConstants
 
     @property
     def success(self) -> bool:
@@ -167,119 +163,17 @@ class CGCast:
 
     # ------------------------------------------------------------------
     def run(self) -> CGCastResult:
-        """Execute the full pipeline; see module docstring."""
-        net = self.network
-        kn = self.knowledge
-        ledger = SlotLedger()
+        """Execute the full pipeline; see module docstring.
 
-        # 1. Discovery ------------------------------------------------
-        discovery = self.precomputed_discovery
-        if discovery is None:
-            discovery = CSeek(
-                net,
-                knowledge=kn,
-                constants=self.constants,
-                seed=self.seed,
-                rng_label="cgcast.discovery",
-                environment=self.environment,
-            ).run()
-        ledger.merge(discovery.ledger, prefix="discovery.")
-
-        # 2. Meeting-time exchange + dedicated channels ----------------
-        payloads = first_heard_payloads(discovery)
-        received_times = self._exchange(
-            discovery.discovered, payloads, "cgcast.times", ledger
+        The one-seed case of :meth:`batch`, i.e. of
+        :func:`~repro.core.cgcast_batch.run_cgcast_lockstep`.
+        """
+        discoveries = (
+            None
+            if self.precomputed_discovery is None
+            else [self.precomputed_discovery]
         )
-        mutual_edges = self._mutual_edges(discovery.discovered)
-        dedicated = agree_dedicated_channels(
-            discovery, mutual_edges, received_times
-        )
-
-        # 3. Edge coloring ---------------------------------------------
-        line_graph = LineGraph.from_edges(mutual_edges)
-        with obs.span("luby_coloring"):
-            coloring = LubyEdgeColoring(
-                line_graph,
-                kn,
-                constants=self.constants,
-                seed=self.seed,
-                loss_rate=self.coloring_loss_rate,
-                exchange_mode=self.exchange_mode,
-                network=net if self.exchange_mode == "simulated" else None,
-            ).run()
-        ledger.merge(coloring.ledger)
-
-        # 4. Color announcement ----------------------------------------
-        # Simulators tell the other endpoint each edge's color; one more
-        # exchange execution.
-        color_payloads: List[Dict[Edge, int]] = [
-            {} for _ in range(net.n)
-        ]
-        for edge, color in coloring.colors.items():
-            simulator = min(edge)
-            color_payloads[simulator][edge] = color
-        announced = self._exchange(
-            discovery.discovered, color_payloads, "cgcast.colors", ledger
-        )
-        edge_colors = self._assemble_edge_colors(
-            coloring.colors, announced, net.n
-        )
-        coloring_valid = is_valid_edge_coloring(edge_colors, mutual_edges)
-
-        # 5. Dissemination ---------------------------------------------
-        pre_slots = ledger.total
-        dissemination = run_dissemination(
-            net,
-            self.source,
-            edge_colors,
-            dedicated,
-            knowledge=kn,
-            constants=self.constants,
-            seed=self.seed,
-            early_stop=self.early_stop,
-        )
-        ledger.merge(dissemination.ledger)
-        informed_slot = dissemination.informed_slot.copy()
-        informed_slot[informed_slot >= 0] += pre_slots
-        informed_slot[self.source] = 0
-
-        return CGCastResult(
-            informed=dissemination.informed,
-            informed_slot=informed_slot,
-            ledger=ledger,
-            discovery=discovery,
-            coloring=coloring,
-            coloring_valid=coloring_valid,
-            dissemination=dissemination,
-            edge_colors=edge_colors,
-            dedicated=dedicated,
-        )
-
-    # ------------------------------------------------------------------
-    def _exchange(
-        self,
-        neighbor_sets: List[set],
-        payloads: List[object],
-        label: str,
-        ledger: SlotLedger,
-    ) -> List[Dict[int, object]]:
-        if self.exchange_mode == "simulated":
-            # The simulated exchange runs a relabelled CSeek, which
-            # records its own "oracle_exchange" span — no outer span, or
-            # the stage would double-count.
-            return simulated_exchange(
-                self.network,
-                payloads,
-                knowledge=self.knowledge,
-                constants=self.constants,
-                seed=self.seed,
-                rng_label=label,
-                ledger=ledger,
-            )
-        with obs.span("oracle_exchange"):
-            return oracle_exchange(
-                neighbor_sets, payloads, self.knowledge, self.constants, ledger
-            )
+        return self.batch().run([self.seed], discoveries=discoveries)[0]
 
     @staticmethod
     def _mutual_edges(discovered: List[set]) -> List[Edge]:
@@ -327,9 +221,8 @@ class CGCast:
         The returned runner executes many trial seeds of this exact
         protocol (source, exchange mode, loss rate, early stop,
         environment) in lockstep across the trial axis;
-        ``batch().run([s])[0]`` is bit-identical to
-        ``CGCast(..., seed=s).run()``. Deferred import: the batch module
-        depends on this one.
+        :meth:`run` is its one-seed case. Deferred import: the batch
+        module depends on this one.
         """
         from repro.core.cgcast_batch import CGCastBatch
 
@@ -360,7 +253,8 @@ def redisseminate(
         setup: A completed CGCAST result (its coloring must be valid).
         source: The new message's source node.
         seed: Back-off randomness for this dissemination.
-        knowledge, constants: Override the setup's defaults if needed.
+        knowledge, constants: Override the ones the setup was scheduled
+            with (``setup.knowledge`` / ``setup.constants``).
         early_stop: Stop once everyone is informed.
 
     Raises:
@@ -376,8 +270,8 @@ def redisseminate(
         source,
         setup.edge_colors,
         setup.dedicated,
-        knowledge=knowledge,
-        constants=constants,
+        knowledge=knowledge or setup.knowledge,
+        constants=constants or setup.constants,
         seed=seed,
         early_stop=early_stop,
     )

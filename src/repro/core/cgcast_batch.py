@@ -1,14 +1,11 @@
-"""Trial-batched CGCAST execution (the whole-pipeline fast path).
+"""Trial-batched CGCAST execution: the one CGCAST program.
 
-PR 2's :class:`~repro.core.cseek_batch.CSeekBatch` batched CGCAST's
-discovery phase; everything after it — meeting-time exchange, dedicated
-channels, Luby coloring, color announcement, dissemination — still ran
-one trial at a time in pure Python, so CGCAST sweeps (E6/E9/E11) were
-bottlenecked on their cheapest stages. This module locksteps the tail
-too: ``B`` homogeneous CGCAST trials execute end-to-end with
+``B`` CGCAST trials execute end-to-end in lockstep across the trial
+axis, and serial :meth:`CGCast.run <repro.core.cgcast.CGCast.run>` is
+the one-trial case. The stages run as
 
 * discovery through :func:`~repro.core.cseek_batch.run_cseek_lockstep`
-  (one engine call per protocol step for the whole trial axis);
+  (one engine call per chunk of steps for the whole trial axis);
 * the oracle meeting-time exchange and color announcement reduced to
   their deterministic ledger charges, with mutual-edge extraction and
   dedicated-channel agreement as array ops over each trial's ragged
@@ -26,17 +23,18 @@ too: ``B`` homogeneous CGCAST trials execute end-to-end with
 Bit-exactness contract: trial ``b`` draws from its own generators
 (``RngHub(seed_b)`` children ``cgcast.discovery``, ``coloring``,
 ``dissemination`` — plus ``cgcast.times``/``cgcast.colors`` in
-simulated exchange mode) in exactly the order :meth:`CGCast.run` draws
-them, so ``CGCastBatch.run(seeds)[b] == CGCast(seed=seeds[b]).run()``
-field for field — including ``informed_slot``, the per-phase ledger,
-``edge_colors`` and ``dedicated``. Batching is a pure throughput
-decision.
+simulated exchange mode) in exactly the order of the one-trial,
+one-step-at-a-time program kept as ``tests/cgcast_reference.py``, so
+``CGCastBatch.run(seeds)[b]`` equals that program's result for
+``seeds[b]`` field for field — including ``informed_slot``, the
+per-phase ledger, ``edge_colors`` and ``dedicated``. Batch size is a
+pure throughput decision.
 
 In ``exchange_mode="simulated"`` the two fixed exchange executions
 (meeting times, color announcement) are themselves CSEEK runs with
 per-trial seeds and fixed rng labels, so they lockstep through
 :class:`CSeekBatch`; payload delivery, dedicated agreement and edge
-assembly then fall back to the serial per-trial implementations
+assembly then fall back to the per-trial dict implementations
 (payloads may be lost, so the dense oracle shortcuts do not apply).
 
 Cross-point batching: :func:`run_cgcast_lockstep` is the general form —
@@ -100,8 +98,9 @@ class CGCastBatch:
     All trials share the network, source, knowledge, constants, exchange
     mode, loss rate and early-stop policy; only the per-trial seed (and,
     through ``environment``, the per-trial primary-user occupancy of the
-    discovery phase) varies. Heterogeneous sweeps belong on the serial
-    or process-pool executors.
+    discovery phase) varies. Points on other networks join one run
+    through :func:`run_cgcast_lockstep` (see
+    :func:`cgcast_lockstep_signature`).
 
     Args:
         network: Ground-truth network shared by every trial.
@@ -211,9 +210,9 @@ class CGCastBatch:
                 produces for this network/environment).
 
         Returns:
-            Per-trial :class:`CGCastResult` objects, in seed order, each
-            bit-identical to ``CGCast(..., seed=seeds[b]).run()``. The
-            single-member special case of :func:`run_cgcast_lockstep`.
+            Per-trial :class:`CGCastResult` objects, in seed order. The
+            single-member special case of :func:`run_cgcast_lockstep`;
+            ``run([s])`` is ``CGCast(..., seed=s).run()``.
         """
         seeds = [int(s) for s in seeds]
         if not seeds:
@@ -381,8 +380,8 @@ def run_cgcast_lockstep(
     shared adjacency when every member's network coincides (the
     single-point case) or a per-trial ``(B, n, n)`` stack otherwise.
     Per trial, generator draws and bookkeeping are exactly those of
-    :meth:`CGCast.run`, so results are bit-identical to the serial
-    protocol member by member.
+    the one-trial reference program (``tests/cgcast_reference.py``),
+    so results do not depend on how trials are grouped.
 
     Returns:
         One result list per member, in member order, each in the
@@ -575,6 +574,8 @@ def run_cgcast_lockstep(
                     dissemination=dissemination[b],
                     edge_colors=edge_colors_list[b],
                     dedicated=dedicated[b],
+                    knowledge=kn,
+                    constants=consts,
                 )
             )
         results.append(member_results)
@@ -648,12 +649,14 @@ def redisseminate_batch(
     with seed ``seeds[b]``, and all trials run in lockstep through
     :func:`~repro.core.dissemination.run_dissemination_batch` — the
     amortized regime of experiment E11, swept across the trial axis.
-    Result ``b`` is bit-identical to the serial ``redisseminate`` call
-    with the same arguments.
+    Result ``b`` equals the one-trial ``redisseminate`` call with the
+    same arguments. ``knowledge`` and ``constants`` default to the ones
+    the setups were scheduled with.
 
     Raises:
         ProtocolError: if any setup's coloring was not proper (a broken
-            schedule must not be silently reused).
+            schedule must not be silently reused), or if a default is
+            needed and the setups were scheduled differently.
     """
     for setup in setups:
         if not setup.coloring_valid:
@@ -664,14 +667,24 @@ def redisseminate_batch(
         raise ProtocolError(
             f"need one setup per seed ({len(seeds)}), got {len(setups)}"
         )
-    kn = knowledge or network.knowledge()
     return run_dissemination_batch(
         network.adjacency,
         sources,
         [setup.edge_colors for setup in setups],
         [setup.dedicated for setup in setups],
-        knowledge=kn,
-        constants=constants,
+        knowledge=knowledge or _scheduled_with(setups, "knowledge"),
+        constants=constants or _scheduled_with(setups, "constants"),
         seeds=seeds,
         early_stop=early_stop,
     )
+
+
+def _scheduled_with(setups: Sequence[CGCastResult], field: str):
+    """The ``knowledge`` or ``constants`` every setup was scheduled with."""
+    values = {getattr(setup, field) for setup in setups}
+    if len(values) > 1:
+        raise ProtocolError(
+            f"setups were scheduled with different {field}; "
+            f"pass {field}= explicitly"
+        )
+    return next(iter(values), None)

@@ -102,7 +102,7 @@ class ProtocolConstants:
     def fast(cls) -> "ProtocolConstants":
         """Sweep profile: robust argmax COUNT, short rounds.
 
-        The part factors are calibrated empirically (see EXPERIMENTS.md):
+        The part factors are calibrated empirically:
         a directed pair meets with the roles right in a part-one step
         with probability ``k_uv / (4 c^2)``, so ``part1_factor = 8``
         yields ``~2 lg n`` expected meetings per pair — enough for

@@ -12,6 +12,11 @@ listen for the whole step.
 
 Each phase pushes the message at least one hop w.h.p. (the proof of
 Theorem 9), so ``D`` phases inform everyone.
+
+There is one program: :func:`run_dissemination_batch` runs ``B`` trials
+in lockstep, and :func:`run_dissemination` is its one-trial case. Per
+trial, results equal field for field those of the one-trial,
+one-step-at-a-time program kept as ``tests/cgcast_reference.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from repro import obs
 from repro.core.constants import ProtocolConstants
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
-from repro.sim.engine import resolve_step, resolve_step_batch
+from repro.sim.engine import resolve_step_batch
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
 from repro.sim.rng import RngHub
@@ -77,7 +82,7 @@ def _validate_schedule(
     dedicated: Dict[Edge, int],
     num_colors: int,
 ) -> None:
-    """The shared schedule checks of serial and batched dissemination."""
+    """The schedule checks of one trial's dissemination inputs."""
     for edge, color in edge_colors.items():
         if not 0 <= color < num_colors:
             raise ProtocolError(
@@ -93,8 +98,8 @@ def _raise_improper(
     """Locate and report the first properness violation.
 
     Replays the historical per-edge scan so the reported (node, color)
-    pair — and hence the error text — is exactly the one the serial
-    precompute loop used to raise.
+    pair — and hence the error text — is exactly the one the original
+    per-edge precompute loop raised.
     """
     for color in sorted(set(edge_colors.values())):
         seen = np.zeros(n, dtype=bool)
@@ -128,8 +133,7 @@ def build_color_channels(
     per-color-per-edge dict scan; the resulting dict is identical
     (same keys in the same ascending order, same arrays) to the
     historical loop, and an improper coloring raises the identical
-    :class:`ProtocolError`. Shared by :func:`run_dissemination` and
-    :func:`run_dissemination_batch`.
+    :class:`ProtocolError`. Used by :func:`run_dissemination_batch`.
 
     Raises:
         ProtocolError: if some node has two same-colored edges (the
@@ -185,75 +189,19 @@ def run_dissemination(
             scheduled budget is still reported).
 
     Returns:
-        A :class:`DisseminationResult`.
+        A :class:`DisseminationResult`: the one-trial case of
+        :func:`run_dissemination_batch`.
     """
-    kn = knowledge or network.knowledge()
-    consts = constants or ProtocolConstants.fast()
-    n = network.n
-    if not 0 <= source < n:
-        raise ProtocolError(f"source {source} out of range [0, {n})")
-    num_colors = 2 * kn.max_degree
-    _validate_schedule(edge_colors, dedicated, num_colors)
-
-    rounds = consts.dissemination_rounds(kn.log_n)
-    backoff_len = kn.log_delta
-    slots_per_step = rounds * backoff_len
-    scheduled_slots = kn.diameter * num_colors * slots_per_step
-    # Ascending back-off probabilities, tiled across the step's rounds.
-    probs = np.tile(
-        2.0 ** -np.arange(backoff_len, 0, -1, dtype=float), rounds
-    )
-
-    color_channels = build_color_channels(edge_colors, dedicated, n)
-
-    rng = RngHub(seed).child("dissemination").generator("backoff")
-    informed = np.zeros(n, dtype=bool)
-    informed[source] = True
-    informed_slot = np.full(n, -1, dtype=np.int64)
-    informed_slot[source] = 0
-    ledger = SlotLedger()
-    slot_cursor = 0
-    phases_run = 0
-
-    with obs.span("dissemination"):
-        for _ in range(kn.diameter):
-            phases_run += 1
-            for color in range(num_colors):
-                channels = color_channels.get(color)
-                if channels is None:
-                    # No edge has this color; the step still occupies
-                    # its scheduled slots (nodes idle), matching the
-                    # paper's fixed step-per-color schedule.
-                    slot_cursor += slots_per_step
-                    ledger.charge("dissemination", slots_per_step)
-                    continue
-                participating = channels >= 0
-                tx_role = participating & informed
-                coins = rng.random((slots_per_step, n)) < probs[:, None]
-                outcome = resolve_step(
-                    network.adjacency, channels, tx_role, coins
-                )
-                heard = outcome.heard_from >= 0
-                # A node is informed at the earliest slot it heard *any*
-                # message in this step: only informed nodes transmit
-                # here, and the message is always the broadcast payload.
-                newly = heard.any(axis=0) & ~informed
-                if newly.any():
-                    first = np.argmax(heard, axis=0)
-                    informed_slot[newly] = slot_cursor + first[newly]
-                    informed[newly] = True
-                slot_cursor += slots_per_step
-                ledger.charge("dissemination", slots_per_step)
-            if early_stop and informed.all():
-                break
-
-    return DisseminationResult(
-        informed=informed,
-        informed_slot=informed_slot,
-        ledger=ledger,
-        phases_run=phases_run,
-        scheduled_slots=scheduled_slots,
-    )
+    return run_dissemination_batch(
+        network.adjacency,
+        source,
+        [edge_colors],
+        [dedicated],
+        knowledge=knowledge or network.knowledge(),
+        constants=constants,
+        seeds=[seed],
+        early_stop=early_stop,
+    )[0]
 
 
 def run_dissemination_batch(
@@ -278,15 +226,17 @@ def run_dissemination_batch(
     vectors; informed-slot bookkeeping is vectorized across the batch,
     and an active-trial mask implements per-trial ``early_stop`` at
     phase granularity (a trial keeps drawing through the remainder of
-    the phase that informs its last node, exactly as the serial loop
-    does).
+    the phase that informs its last node, exactly as the one-trial
+    step loop does).
 
     Bit-exactness contract: trial ``b`` draws its back-off coins from
-    its own ``RngHub(seeds[b]).child("dissemination")`` stream in the
-    serial order — colors absent from its schedule draw nothing — so
-    result ``b`` is field-for-field identical to
-    :func:`run_dissemination` with the same inputs. Batching is a pure
-    throughput decision; this is the engine of
+    its own ``RngHub(seeds[b]).child("dissemination")`` stream in
+    schedule order — colors absent from its schedule draw nothing — so
+    result ``b`` is field-for-field identical to the one-trial,
+    one-step-at-a-time program kept as ``tests/cgcast_reference.py``
+    (``reference_dissemination``) with the same inputs. Batch size is a
+    pure throughput decision; this is the one dissemination program,
+    behind :func:`run_dissemination`,
     :class:`repro.core.cgcast_batch.CGCastBatch` and
     :func:`repro.core.cgcast_batch.redisseminate_batch`.
 
@@ -376,8 +326,8 @@ def run_dissemination_batch(
             phases_run[active] += 1
             for color in range(num_colors):
                 # Active trials lacking this color idle through the
-                # step (their cursor advances, no coins are drawn) —
-                # exactly the serial empty-color branch.
+                # step (their cursor advances, no coins are drawn), as
+                # the paper's fixed step-per-color schedule has it.
                 sub = [
                     b
                     for b in range(num_trials)
@@ -422,8 +372,8 @@ def run_dissemination_batch(
     for b in range(num_trials):
         ledger = SlotLedger()
         if phases_run[b]:
-            # The serial loop charges once per color step; the total is
-            # a pure function of the phases the trial participated in.
+            # One charge per color step, including idle ones: the total
+            # is a pure function of the phases the trial took part in.
             ledger.charge(
                 "dissemination",
                 int(phases_run[b]) * num_colors * slots_per_step,

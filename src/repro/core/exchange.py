@@ -14,9 +14,11 @@ Two implementations:
 :func:`oracle_exchange`
     Delivers payloads along *already-discovered* neighbor pairs and
     charges the CSEEK schedule length to the ledger without simulating
-    the slots. This is the black-box reading of the primitive used by
-    CGCAST's coloring loop (see DESIGN.md); integration tests check it
-    against :func:`simulated_exchange` on small instances.
+    the slots: the black-box reading of the primitive, which CGCAST's
+    oracle mode and coloring loop apply inline as
+    :func:`exchange_slot_cost` charges. Integration tests
+    (``tests/test_coloring_simulated.py``) check it against
+    :func:`simulated_exchange` on small instances.
 
 Both return per-node dictionaries ``{sender: payload}``.
 """

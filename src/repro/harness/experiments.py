@@ -91,7 +91,7 @@ experiment_e12 = EXPERIMENTS["E12"]
 
 
 def experiment_ids() -> List[str]:
-    """All experiment ids in DESIGN.md order."""
+    """All experiment ids, E1-E12 in :mod:`repro.scenarios.paper` order."""
     return list(EXPERIMENTS)
 
 
@@ -106,7 +106,8 @@ def run_experiment(
     """Run one experiment by id.
 
     Args:
-        experiment_id: DESIGN.md index id (case-insensitive).
+        experiment_id: Experiment id registered in
+            :mod:`repro.scenarios.paper` (case-insensitive).
         trials: Trials per configuration (None = experiment default).
         seed: Master seed.
         jobs: Execution strategy for the Monte Carlo trials (see

@@ -1,7 +1,8 @@
 """Experiment execution scaffolding.
 
 An :class:`ExperimentTable` is the standard deliverable of every
-experiment: an id (matching DESIGN.md's index), a title, flat dict rows,
+experiment: an id (one of the E1-E12 ids registered in
+:mod:`repro.scenarios.paper`), a title, flat dict rows,
 and free-text notes interpreting the rows against the paper's claim.
 :func:`run_trials` standardizes seeded repetition: per-trial seeds are
 derived up front from the master seed, then handed to a pluggable
@@ -33,7 +34,8 @@ class ExperimentTable:
     """One experiment's regenerated table.
 
     Attributes:
-        experiment_id: DESIGN.md index id, e.g. ``"E2"``.
+        experiment_id: Experiment id registered in
+            :mod:`repro.scenarios.paper`, e.g. ``"E2"``.
         title: Human-readable claim summary.
         rows: Flat result rows (consistent keys per experiment).
         notes: Interpretation against the paper's claim.

@@ -1,7 +1,7 @@
 """Result-table rendering: markdown and CSV.
 
 Experiments produce lists of flat dict rows; these helpers render them
-into the tables recorded in EXPERIMENTS.md and into CSV files under
+into markdown tables and into CSV files under
 ``results/`` for downstream plotting.
 """
 

@@ -3,8 +3,9 @@
 Layering: :mod:`~repro.scenarios.spec` defines the composable
 :class:`ScenarioSpec` (topology x assignment x interference x protocol
 x sweep x metrics) and its JSON form; :mod:`~repro.scenarios.trials`
-builds the trial closures (the single home of ``run_batch``
-generation); :mod:`~repro.scenarios.compile` lowers specs into
+builds the trial closures (the home of ``run_batch`` generation,
+except E11's plan-level ``run_batch`` in :mod:`~repro.scenarios.paper`);
+:mod:`~repro.scenarios.compile` lowers specs into
 executable plans over the harness's executor layer;
 :mod:`~repro.scenarios.registry` names them.
 :mod:`~repro.scenarios.paper` registers E1-E12 and

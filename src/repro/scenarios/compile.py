@@ -14,8 +14,9 @@ Declarative specs are lowered here too: the topology and assignment
 specs build the network, the interference spec becomes a spectrum
 environment (:mod:`repro.sim.environment` — Markov, Poisson or static
 primary-user traffic), the protocol spec picks a trial factory from
-:mod:`repro.scenarios.trials` (the single home of ``run_batch``
-generation), and a stock reducer computes the protocol family's metric
+:mod:`repro.scenarios.trials` (the home of ``run_batch`` generation,
+apart from E11's plan-level ``run_batch`` in :mod:`repro.scenarios.paper`),
+and a stock reducer computes the protocol family's metric
 columns. Plan-based specs (the paper experiments) skip the lowering and
 supply Points directly.
 """

@@ -51,7 +51,6 @@ from repro.core import (
     ProtocolConstants,
     count_schedule,
     is_valid_edge_coloring,
-    redisseminate,
     redisseminate_batch,
     verify_discovery,
     verify_k_discovery,
@@ -927,36 +926,14 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
     kn = net.knowledge()
     num_messages = 16
 
-    def trial(s: int):
-        setup = CGCast(net, source=0, seed=s).run()
-        if not setup.success:
-            return None
-        setup_slots = setup.total_slots - setup.ledger.get("dissemination")
-        per_message = [setup.ledger.get("dissemination")]
-        naive_per_message = []
-        for msg in range(1, num_messages):
-            source = (msg * 7) % net.n
-            diss = redisseminate(net, setup, source=source, seed=s + msg)
-            if not diss.success:
-                return None
-            per_message.append(diss.ledger.total)
-            nv = NaiveBroadcast(
-                net, source=source, seed=s + 100 + msg
-            ).run()
-            if not nv.success:
-                return None
-            naive_per_message.append(nv.completion_slot)
-        nv0 = NaiveBroadcast(net, source=0, seed=s + 500).run()
-        naive_per_message.insert(0, nv0.completion_slot)
-        return setup_slots, per_message, naive_per_message
-
     def run_batch(seeds):
         # The whole amortized regime in lockstep: one CGCastBatch run
         # builds every trial's reusable schedule, then each message's
         # re-dissemination sweeps the surviving trials through
-        # redisseminate_batch. Per trial all generator draws are those
-        # of the serial closure above (NaiveBroadcast runs are
-        # independent per seed), so outcomes are bit-identical.
+        # redisseminate_batch. A trial drops out at its first failed
+        # broadcast (its outcome stays None). Every generator draws
+        # from per-trial seeds, so outcomes do not depend on which
+        # trials share a batch.
         seeds = [int(s) for s in seeds]
         setups = CGCastBatch(net, source=0).run(seeds)
         state = {}
@@ -993,6 +970,9 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
             naive_pm.insert(0, nv0.completion_slot)
             outcomes[b] = (setup_slots, per_message, naive_pm)
         return outcomes
+
+    def trial(s: int):
+        return run_batch([s])[0]
 
     trial.run_batch = run_batch
 

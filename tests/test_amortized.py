@@ -1,9 +1,19 @@
 """Unit tests for reusing a CGCAST schedule (redisseminate)."""
 
+import dataclasses
+
 import pytest
 
-from repro.core import CGCast, redisseminate
+from repro.core import (
+    CGCast,
+    ProtocolConstants,
+    redisseminate,
+    redisseminate_batch,
+)
+from repro.graphs import build_network, path
 from repro.model import ProtocolError
+
+from cgcast_reference import assert_dissemination_equal
 
 
 @pytest.fixture(scope="module")
@@ -46,3 +56,53 @@ class TestRedisseminate:
     def test_setup_artifacts_exposed(self, setup_result):
         assert setup_result.edge_colors
         assert set(setup_result.dedicated) == set(setup_result.edge_colors)
+
+
+class TestScheduleParameters:
+    """A reused schedule keeps the knowledge and constants it was built
+    with, unless the caller overrides them."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        # Knowledge that over-states Delta widens the color range past
+        # what the realized network's own knowledge would allow, and
+        # non-default constants change the rounds per color step.
+        net = build_network(path(8), c=4, k=2, seed=0)
+        kn = dataclasses.replace(net.knowledge(), max_degree=7)
+        consts = dataclasses.replace(
+            ProtocolConstants.fast(), dissemination_round_factor=3.0
+        )
+        setup = CGCast(net, knowledge=kn, constants=consts, seed=1).run()
+        assert setup.coloring_valid
+        return net, kn, consts, setup
+
+    def test_setup_records_its_schedule(self, wide):
+        net, kn, consts, setup = wide
+        assert setup.knowledge == kn
+        assert setup.constants == consts
+
+    def test_redisseminate_defaults_to_setup_schedule(self, wide):
+        net, kn, consts, setup = wide
+        got = redisseminate(net, setup, source=7, seed=2)
+        explicit = redisseminate(
+            net, setup, source=7, seed=2, knowledge=kn, constants=consts
+        )
+        assert_dissemination_equal(got, explicit)
+        rounds = consts.dissemination_rounds(kn.log_n)
+        assert got.scheduled_slots == (
+            kn.diameter * 2 * kn.max_degree * rounds * kn.log_delta
+        )
+
+    def test_redisseminate_batch_defaults_to_setup_schedule(self, wide):
+        net, kn, consts, setup = wide
+        got = redisseminate_batch(net, [setup, setup], 7, [2, 3])
+        for s, g in zip((2, 3), got):
+            assert_dissemination_equal(
+                g, redisseminate(net, setup, source=7, seed=s)
+            )
+
+    def test_batch_rejects_mixed_schedules(self, wide):
+        net, kn, consts, setup = wide
+        plain = CGCast(net, seed=1).run()
+        with pytest.raises(ProtocolError, match="different knowledge"):
+            redisseminate_batch(net, [setup, plain], 7, [2, 3])

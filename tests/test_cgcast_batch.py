@@ -1,15 +1,16 @@
 """Bit-identity pins for the end-to-end batched CGCAST path.
 
-``CGCastBatch.run(seeds)[b]`` must be field-for-field identical to
-``CGCast(..., seed=seeds[b]).run()`` — the batched executor is a pure
-throughput decision. These tests pin that contract across the oracle
+``CGCastBatch.run(seeds)[b]`` must be field-for-field identical to the
+one-trial reference program (``cgcast_reference.py``) run on
+``CGCast(..., seed=seeds[b])`` — batch size is a pure throughput
+decision, and serial ``CGCast.run`` is the one-seed batch. These tests
+pin that contract across the oracle
 and simulated exchange modes, jammed discovery, heterogeneous
 assignments, non-default sources and the ``early_stop`` policy, plus
 the cross-point lockstep layer and the batched re-dissemination of the
 amortized regime.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -18,7 +19,6 @@ from repro.core import (
     CGCastMember,
     CGCastXBatch,
     cgcast_lockstep_signature,
-    redisseminate,
     redisseminate_batch,
     run_cgcast_lockstep,
     run_group,
@@ -27,61 +27,47 @@ from repro.graphs import build_network, path_of_cliques, random_regular
 from repro.model.errors import ProtocolError
 from repro.sim.environment import MarkovTraffic
 
+from cgcast_reference import (
+    assert_dissemination_equal,
+    assert_results_equal,
+    reference_cgcast,
+    reference_dissemination,
+)
+
 SEEDS = [3, 17, 99]
-
-
-def assert_results_equal(got, ref):
-    """Field-for-field equality of two CGCastResult objects."""
-    assert np.array_equal(got.informed, ref.informed)
-    assert np.array_equal(got.informed_slot, ref.informed_slot)
-    assert got.ledger.as_dict() == ref.ledger.as_dict()
-    assert got.edge_colors == ref.edge_colors
-    assert got.dedicated == ref.dedicated
-    assert got.coloring_valid == ref.coloring_valid
-    assert got.success == ref.success
-    assert got.total_slots == ref.total_slots
-    assert got.completion_slot == ref.completion_slot
-    # Underlying stage results.
-    assert got.discovery.discovered == ref.discovery.discovered
-    assert got.discovery.ledger.as_dict() == ref.discovery.ledger.as_dict()
-    assert got.coloring.colors == ref.coloring.colors
-    assert got.coloring.phases_used == ref.coloring.phases_used
-    assert got.dissemination.phases_run == ref.dissemination.phases_run
-    assert (
-        got.dissemination.scheduled_slots
-        == ref.dissemination.scheduled_slots
-    )
-    assert np.array_equal(
-        got.dissemination.informed_slot, ref.dissemination.informed_slot
-    )
 
 
 class TestPlainEquivalence:
     def test_regular_network(self, small_regular_net):
         got = CGCastBatch(small_regular_net).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            assert_results_equal(g, CGCast(small_regular_net, seed=s).run())
+            assert_results_equal(g, reference_cgcast(CGCast(small_regular_net, seed=s)))
 
     def test_clique_chain(self, clique_chain_net):
         got = CGCastBatch(clique_chain_net).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            assert_results_equal(g, CGCast(clique_chain_net, seed=s).run())
+            assert_results_equal(g, reference_cgcast(CGCast(clique_chain_net, seed=s)))
 
     def test_nonzero_source(self, small_regular_net):
         got = CGCastBatch(small_regular_net, source=7).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            ref = CGCast(small_regular_net, source=7, seed=s).run()
+            ref = reference_cgcast(
+                CGCast(small_regular_net, source=7, seed=s)
+            )
             assert_results_equal(g, ref)
 
     def test_heterogeneous_assignment(self, hetero_net):
         got = CGCastBatch(hetero_net).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            assert_results_equal(g, CGCast(hetero_net, seed=s).run())
+            ref = reference_cgcast(CGCast(hetero_net, seed=s))
+            assert_results_equal(g, ref)
 
     def test_no_early_stop(self, small_regular_net):
         got = CGCastBatch(small_regular_net, early_stop=False).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            ref = CGCast(small_regular_net, seed=s, early_stop=False).run()
+            ref = reference_cgcast(
+                CGCast(small_regular_net, seed=s, early_stop=False)
+            )
             assert_results_equal(g, ref)
             # Without early stop, every trial drains the full schedule.
             assert (
@@ -97,9 +83,9 @@ class TestPlainEquivalence:
         proto = CGCast(small_regular_net, source=3, early_stop=False)
         got = proto.batch().run(SEEDS)
         for s, g in zip(SEEDS, got):
-            ref = CGCast(
-                small_regular_net, source=3, seed=s, early_stop=False
-            ).run()
+            ref = reference_cgcast(
+                CGCast(small_regular_net, source=3, seed=s, early_stop=False)
+            )
             assert_results_equal(g, ref)
 
 
@@ -119,7 +105,9 @@ class TestJammedDiscovery:
         env = self._env(small_regular_net)
         got = CGCastBatch(small_regular_net, environment=env).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            ref = CGCast(small_regular_net, seed=s, environment=env).run()
+            ref = reference_cgcast(
+                CGCast(small_regular_net, seed=s, environment=env)
+            )
             assert_results_equal(g, ref)
 
     def test_from_serial_inherits_environment(self, small_regular_net):
@@ -129,19 +117,19 @@ class TestJammedDiscovery:
         assert batch.environment is env
         got = batch.run(SEEDS[:2])
         for s, g in zip(SEEDS[:2], got):
-            ref = CGCast(small_regular_net, seed=s, environment=env).run()
+            ref = reference_cgcast(
+                CGCast(small_regular_net, seed=s, environment=env)
+            )
             assert_results_equal(g, ref)
 
     def test_rerun_is_reproducible(self, small_regular_net):
         """Each run() opens a fresh traffic stream, so one instance
-        reruns identically and matches its one-trial batch."""
+        reruns identically and matches the reference program."""
         env = self._env(small_regular_net)
         proto = CGCast(small_regular_net, seed=17, environment=env)
         first = proto.run()
         assert_results_equal(proto.run(), first)
-        assert_results_equal(
-            CGCastBatch.from_serial(proto).run([17])[0], first
-        )
+        assert_results_equal(first, reference_cgcast(proto))
 
 
 class TestSimulatedExchange:
@@ -150,9 +138,9 @@ class TestSimulatedExchange:
             small_path_net, exchange_mode="simulated"
         ).run(SEEDS)
         for s, g in zip(SEEDS, got):
-            ref = CGCast(
-                small_path_net, seed=s, exchange_mode="simulated"
-            ).run()
+            ref = reference_cgcast(
+                CGCast(small_path_net, seed=s, exchange_mode="simulated")
+            )
             assert_results_equal(g, ref)
 
 
@@ -193,7 +181,7 @@ class TestCrossPointLockstep:
             (net_a, net_b), ([3, 4], [5, 6, 7]), per_member
         ):
             for s, g in zip(seeds, results):
-                assert_results_equal(g, CGCast(net, seed=s).run())
+                assert_results_equal(g, reference_cgcast(CGCast(net, seed=s)))
 
     def test_signature_mismatch_rejected(self):
         net_a, _ = self._nets()
@@ -232,7 +220,9 @@ class TestCrossPointLockstep:
         for net, seeds, outs in zip(
             (net_a, net_b), ([3, 4], [5, 6]), grouped
         ):
-            assert outs == [post(CGCast(net, seed=s).run()) for s in seeds]
+            assert outs == [
+                post(reference_cgcast(CGCast(net, seed=s))) for s in seeds
+            ]
 
 
 class TestRedisseminateBatch:
@@ -241,27 +231,29 @@ class TestRedisseminateBatch:
         net = build_network(path_of_cliques(3, 4), c=8, k=1, seed=5)
         return net, CGCastBatch(net).run(SEEDS)
 
+    @staticmethod
+    def _reference(net, setup, source, seed):
+        return reference_dissemination(
+            net, source, setup.edge_colors, setup.dedicated, seed=seed
+        )
+
     def test_matches_serial_redisseminate(self, setups):
         net, results = setups
         got = redisseminate_batch(
             net, results, 5, [s + 7 for s in SEEDS]
         )
         for s, setup, g in zip(SEEDS, results, got):
-            ref = redisseminate(net, setup, 5, seed=s + 7)
-            assert np.array_equal(g.informed, ref.informed)
-            assert np.array_equal(g.informed_slot, ref.informed_slot)
-            assert g.ledger.as_dict() == ref.ledger.as_dict()
-            assert g.phases_run == ref.phases_run
-            assert g.scheduled_slots == ref.scheduled_slots
+            ref = self._reference(net, setup, 5, s + 7)
+            assert_dissemination_equal(g, ref)
 
     def test_per_trial_sources(self, setups):
         net, results = setups
         sources = [(1 + 3 * i) % net.n for i in range(len(SEEDS))]
         got = redisseminate_batch(net, results, sources, SEEDS)
         for s, setup, source, g in zip(SEEDS, results, sources, got):
-            ref = redisseminate(net, setup, source, seed=s)
-            assert np.array_equal(g.informed_slot, ref.informed_slot)
-            assert g.ledger.as_dict() == ref.ledger.as_dict()
+            assert_dissemination_equal(
+                g, self._reference(net, setup, source, s)
+            )
 
     def test_invalid_setup_rejected(self, setups):
         net, results = setups

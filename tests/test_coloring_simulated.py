@@ -1,8 +1,8 @@
 """Integration tests: slot-level simulated coloring exchanges.
 
-DESIGN.md §2 promises the oracle exchange mode (charge CSEEK's cost,
-deliver reliably) is validated against true slot-level simulation on
-small instances — these tests are that validation.
+:mod:`repro.core.exchange` promises the oracle exchange mode (charge
+CSEEK's cost, deliver reliably) is validated against true slot-level
+simulation on small instances — these tests are that validation.
 """
 
 import pytest

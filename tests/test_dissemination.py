@@ -17,6 +17,8 @@ from repro.core import (
 )
 from repro.model import ProtocolError
 
+from cgcast_reference import assert_dissemination_equal, reference_dissemination
+
 
 def prepared_stage(net, seed=0):
     """Discovery + coloring + dedicated channels for a network."""
@@ -228,6 +230,8 @@ class TestBuildColorChannels:
 
 
 class TestDisseminationBatch:
+    """The lockstep program against the one-step-at-a-time reference."""
+
     def test_bit_identical_to_serial(self, small_path_net):
         seeds = [2, 5, 13]
         per_trial = [prepared_stage(small_path_net, seed=s) for s in seeds]
@@ -240,14 +244,14 @@ class TestDisseminationBatch:
             seeds=seeds,
         )
         for s, (colors, dedicated), got in zip(seeds, per_trial, batch):
-            ref = run_dissemination(
+            ref = reference_dissemination(
                 small_path_net, 0, colors, dedicated, seed=s
             )
-            assert np.array_equal(got.informed, ref.informed)
-            assert np.array_equal(got.informed_slot, ref.informed_slot)
-            assert got.ledger.as_dict() == ref.ledger.as_dict()
-            assert got.phases_run == ref.phases_run
-            assert got.scheduled_slots == ref.scheduled_slots
+            assert_dissemination_equal(got, ref)
+            one = run_dissemination(
+                small_path_net, 0, colors, dedicated, seed=s
+            )
+            assert_dissemination_equal(one, ref)
 
     def test_per_trial_sources_and_adjacency_stack(self, small_path_net):
         seeds = [4, 6]
@@ -266,11 +270,10 @@ class TestDisseminationBatch:
             seeds=seeds,
         )
         for s, source, got in zip(seeds, sources, batch):
-            ref = run_dissemination(
+            ref = reference_dissemination(
                 small_path_net, source, colors, dedicated, seed=s
             )
-            assert np.array_equal(got.informed_slot, ref.informed_slot)
-            assert got.ledger.as_dict() == ref.ledger.as_dict()
+            assert_dissemination_equal(got, ref)
 
     def test_ragged_schedules_keep_rng_alignment(self, small_path_net):
         # One trial's schedule misses colors another trial has: the
@@ -297,7 +300,7 @@ class TestDisseminationBatch:
             (dedicated_full, dedicated_one),
             batch,
         ):
-            ref = run_dissemination(
+            ref = reference_dissemination(
                 small_path_net,
                 0,
                 colors,
@@ -305,7 +308,7 @@ class TestDisseminationBatch:
                 seed=s,
                 early_stop=False,
             )
-            assert np.array_equal(got.informed_slot, ref.informed_slot)
+            assert_dissemination_equal(got, ref)
 
     def test_rejects_empty_seeds(self, small_path_net):
         with pytest.raises(ProtocolError, match="at least one trial"):

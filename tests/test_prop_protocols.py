@@ -4,10 +4,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CSeek, ProtocolConstants, run_count_step
+from repro.core import (
+    CSeek,
+    ProtocolConstants,
+    run_count_step,
+    run_dissemination_batch,
+)
 from repro.graphs import build_network, cycle, path, random_regular
 from repro.sim import MarkovTraffic
 
+from cgcast_reference import assert_dissemination_equal, reference_dissemination
 from cseek_reference import assert_results_equal, chunk_cells, reference_cseek
 
 
@@ -77,6 +83,80 @@ class TestCSeekInvariants:
         with chunk_cells(cells):
             got = proto.run()
         assert_results_equal(got, reference_cseek(proto))
+
+
+@st.composite
+def dissemination_schedule(draw, net):
+    """One trial's inputs: a greedy proper coloring of a random subset
+    of the edges, colors relabelled at random inside ``[0, 2*Delta)``
+    (so trials wear ragged color sets), a shared dedicated channel per
+    edge, and a source."""
+    num_colors = 2 * net.knowledge().max_degree
+    edges = draw(st.permutations(net.edges()))
+    keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    relabel = draw(st.permutations(range(num_colors)))
+    used = {u: set() for u in range(net.n)}
+    colors, dedicated = {}, {}
+    for (u, v), kept in zip(edges, keep):
+        if not kept:
+            continue
+        color = min(set(range(num_colors)) - used[u] - used[v])
+        used[u].add(color)
+        used[v].add(color)
+        colors[(u, v)] = relabel[color]
+        dedicated[(u, v)] = draw(
+            st.sampled_from(sorted(net.shared_channels(u, v)))
+        )
+    source = draw(st.integers(min_value=0, max_value=net.n - 1))
+    return colors, dedicated, source
+
+
+class TestDisseminationInvariants:
+    @given(small_network(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_batch_matches_reference_per_trial(self, case, data):
+        """The lockstep program equals the one-step-at-a-time reference
+        trial for trial, whatever the other trials in the batch do."""
+        net, _ = case
+        num_trials = data.draw(st.integers(min_value=1, max_value=4))
+        early_stop = data.draw(st.booleans())
+        stacked = data.draw(st.booleans())
+        schedules = [
+            data.draw(dissemination_schedule(net)) for _ in range(num_trials)
+        ]
+        seeds = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=2**16),
+                min_size=num_trials,
+                max_size=num_trials,
+            )
+        )
+        adjacency = (
+            np.broadcast_to(net.adjacency, (num_trials, net.n, net.n))
+            if stacked
+            else net.adjacency
+        )
+        got = run_dissemination_batch(
+            adjacency,
+            [source for _, _, source in schedules],
+            [colors for colors, _, _ in schedules],
+            [dedicated for _, dedicated, _ in schedules],
+            knowledge=net.knowledge(),
+            seeds=seeds,
+            early_stop=early_stop,
+        )
+        for (colors, dedicated, source), seed, g in zip(
+            schedules, seeds, got
+        ):
+            ref = reference_dissemination(
+                net,
+                source,
+                colors,
+                dedicated,
+                seed=seed,
+                early_stop=early_stop,
+            )
+            assert_dissemination_equal(g, ref)
 
 
 class TestCountInvariants:
