@@ -45,7 +45,8 @@ from repro.core import (
 )
 from repro.core.cseek import backoff_probabilities
 from repro.graphs import build_network, random_regular
-from repro.harness import run_experiment, run_trials
+from repro.harness import run_trials
+from repro.scenarios import run_scenario
 from repro.sim import MarkovTraffic
 from repro.sim.engine import resolve_step
 
@@ -236,5 +237,5 @@ def bench_jammed_cseek16_batched(benchmark):
 
 def bench_e1_table_serial(benchmark):
     """Full E1 table (12 sweep points) with the serial reference."""
-    table = benchmark(lambda: run_experiment("E1", trials=8, seed=3))
+    table = benchmark(lambda: run_scenario("E1", trials=8, seed=3))
     assert table.rows

@@ -17,12 +17,12 @@ import sys
 import tempfile
 import time
 
-from repro.harness import run_experiment
+from repro.scenarios import run_scenario
 
 
 def timed(label: str, **kwargs):
     start = time.perf_counter()
-    table = run_experiment("E1", trials=16, **kwargs)
+    table = run_scenario("E1", trials=16, **kwargs)
     elapsed = time.perf_counter() - start
     print(f"{label:>28}: {elapsed:6.2f}s  ({len(table.rows)} rows)")
     return table

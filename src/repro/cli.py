@@ -29,8 +29,8 @@ int fans trials out to that many worker processes, ``batch`` vectorizes
 homogeneous trial axes) and never changes the produced rows — per-trial
 seeds derive up front from the master seed. ``--cache`` consults the
 deterministic result cache in ``.repro_cache/`` (keyed on experiment,
-trials, seed and code version — scenario runs additionally key on their
-spec digest, so ``--set`` overrides never collide with default runs).
+trials, seed, code version and the scenario's spec digest, so ``--set``
+overrides never collide with default runs).
 
 ``run-scenario`` accepts a registered scenario name (see ``scenarios``)
 or a path to a JSON scenario file (see ``repro.scenarios.spec``);
@@ -96,10 +96,9 @@ from repro.campaigns import (
     verdict_table,
     write_report,
 )
-from repro.harness import experiment_ids, run_experiment
 from repro.harness.executor import get_executor
 from repro.model.errors import HarnessError, ReproError, StoreError
-from repro.scenarios import iter_scenarios, run_scenario
+from repro.scenarios import PAPER_SPECS, iter_scenarios, paper_spec, run_scenario
 from repro.sim.backend import BACKEND_ENV, set_backend
 
 __all__ = ["main", "build_parser"]
@@ -167,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment (or 'all')")
     run.add_argument(
         "experiment",
-        help="experiment id (E1..E10) or 'all'",
+        help="experiment id (E1..E12) or 'all'",
     )
     run.add_argument(
         "--trials",
@@ -199,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "reuse cached tables (and store fresh ones) keyed on "
-            "experiment id + trials + seed + code version"
+            "experiment id + trials + seed + spec digest + code version"
         ),
     )
     run.add_argument(
@@ -601,8 +600,8 @@ def _run_one(
     cache_dir: Optional[str] = None,
 ) -> None:
     start = time.time()
-    table = run_experiment(
-        experiment_id,
+    table = run_scenario(
+        paper_spec(experiment_id),
         trials=trials,
         seed=seed,
         jobs=jobs,
@@ -632,7 +631,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.command == "list":
-        for experiment_id in experiment_ids():
+        for experiment_id in PAPER_SPECS:
             print(experiment_id)
         return 0
     if args.command == "scenarios":
@@ -853,7 +852,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     # command == "run"
     targets = (
-        experiment_ids()
+        list(PAPER_SPECS)
         if args.experiment.lower() == "all"
         else [args.experiment]
     )

@@ -1,11 +1,12 @@
-"""Experiment harness: runners, executors, cache, and E1-E12 definitions.
+"""Experiment harness: runners, executors, tables and the result cache.
 
 Layering: :mod:`~repro.harness.runner` owns seeded repetition
 (:func:`run_trials`), :mod:`~repro.harness.executor` owns execution
 strategy (serial / process-parallel / vectorized-batch, all
-bit-identical for a given master seed), :mod:`~repro.harness.cache` owns
-the deterministic result cache, and :mod:`~repro.harness.experiments`
-defines the experiments and :func:`run_experiment`.
+bit-identical for a given master seed), and :mod:`~repro.harness.cache`
+owns the deterministic result cache. The experiments E1-E12 are
+scenario specs (:mod:`repro.scenarios.paper`), run through
+:func:`repro.scenarios.run_scenario`.
 """
 
 from repro.harness.cache import (
@@ -23,18 +24,12 @@ from repro.harness.executor import (
     StreamingExecutor,
     get_executor,
 )
-from repro.harness.experiments import (
-    EXPERIMENTS,
-    experiment_ids,
-    run_experiment,
-)
 from repro.harness.runner import ExperimentTable, run_trials, stream_trials
 from repro.harness.tables import render_markdown, write_csv
 
 __all__ = [
     "BatchedExecutor",
     "DEFAULT_CACHE_DIR",
-    "EXPERIMENTS",
     "Executor",
     "ExperimentTable",
     "ParallelExecutor",
@@ -42,11 +37,9 @@ __all__ = [
     "StreamingExecutor",
     "cache_key",
     "code_version",
-    "experiment_ids",
     "get_executor",
     "load_table",
     "render_markdown",
-    "run_experiment",
     "run_trials",
     "store_table",
     "stream_trials",

@@ -24,12 +24,12 @@ vectorized batch. The strategies:
     primitives this rides on); falls back to serial otherwise.
 :class:`XBatchExecutor`
     The cross-point strategy (``jobs="xbatch"``): per run it behaves
-    exactly like :class:`BatchedExecutor`, but scenario-level drivers
-    (:func:`repro.scenarios.compile.run_scenario_spec`, the streaming
-    path) recognize it and batch *across* sweep points — every point
-    whose trial advertises a matching ``xbatch`` compatibility
-    signature joins one lockstep execution
-    (:func:`repro.core.xbatch.run_group`).
+    exactly like :class:`BatchedExecutor`, but the scenario sweep
+    driver (:mod:`repro.scenarios.compile`, behind both the
+    fixed-trials and the streaming path) recognizes it and batches
+    *across* sweep points — every point whose trial advertises a
+    matching ``xbatch`` compatibility signature joins one lockstep
+    execution (:func:`repro.core.xbatch.run_group`).
 :class:`StreamingExecutor`
     Memory-capped chunked execution: splits the trial axis into
     fixed-size chunks and delegates each to an inner strategy (the
@@ -38,8 +38,10 @@ vectorized batch. The strategies:
     contract it exposes :meth:`StreamingExecutor.iter_chunks`, which
     pulls seeds lazily from a :class:`repro.sim.rng.SeedStream` and
     yields one result chunk at a time — the entry point
-    :func:`repro.harness.runner.stream_trials` and CI-targeted stopping
-    ride on (results never materialize as one list).
+    :func:`repro.harness.runner.stream_trials` rides on (results never
+    materialize as one list). Its chunk schedule
+    (:meth:`StreamingExecutor.chunk_sizes`) also sizes the rounds of
+    the scenario driver's CI-targeted streaming.
 
 All strategies validate trial results eagerly: a raising trial surfaces
 as a :class:`~repro.model.errors.HarnessError` naming the trial seed
@@ -333,9 +335,10 @@ class XBatchExecutor(BatchedExecutor):
 
     For a single ``run`` call this *is* the batched strategy (same
     contract, same results). Its extra meaning lives one layer up:
-    scenario drivers that see an ``XBatchExecutor`` group the sweep's
+    the scenario sweep driver (:mod:`repro.scenarios.compile`, shared
+    by the fixed-trials and streaming paths) groups the sweep's
     points by their trials' ``xbatch`` compatibility signatures and
-    run each group as one lockstep execution spanning every member
+    runs each group as one lockstep execution spanning every member
     point, so a whole sweep resolves in a handful of giant engine
     calls instead of one batch per point. Points that cannot group
     (no ``xbatch`` descriptor, or a unique signature) degrade to
@@ -451,15 +454,27 @@ class StreamingExecutor:
             raise HarnessError(
                 f"max_trials must be >= 1, got {max_trials}"
             )
-        chunk = self.initial_chunk or self.chunk_size
         done = 0
-        while done < max_trials:
+        for chunk in self.chunk_sizes():
+            if done >= max_trials:
+                return
             count = min(chunk, max_trials - done)
             obs.count("stream.chunks")
             with obs.span("chunk"):
                 part = self.inner.run(trial, stream.take(count))
             yield part
             done += count
+
+    def chunk_sizes(self) -> Iterator[int]:
+        """The endless chunk schedule of :meth:`iter_chunks`.
+
+        ``initial_chunk`` doubling per chunk up to ``chunk_size``, or
+        ``chunk_size`` throughout when ``initial_chunk`` is 0. The
+        scenario streaming driver sizes its rounds from it too.
+        """
+        chunk = self.initial_chunk or self.chunk_size
+        while True:
+            yield chunk
             chunk = min(chunk * 2, self.chunk_size)
 
 

@@ -2,13 +2,22 @@
 
 A compiled scenario is a sequence of :class:`Point` objects, one per
 sweep point. Each point names one or more :class:`Run` entries (one
-``run_trials`` invocation each — trial callable, seed-stream label,
-master seed, trial count) plus a reducer turning the collected outcomes
-into table rows. :func:`run_scenario_spec` walks the plan with one
-shared executor, so a scenario runs serially, on a process pool
-(``jobs=N``) or vectorized over the trial axis (``jobs="batch"``)
-without the spec knowing — and produces identical rows either way,
-because per-trial seeds derive up front.
+trial callable, seed-stream label, master seed and trial count each)
+plus a reducer turning the collected outcomes into table rows.
+
+Every scenario run, fixed or streamed, goes through one sweep driver:
+:func:`_execute` takes a list of runs with one seed list per run and
+returns each run's outcomes. Under ``jobs="xbatch"`` it groups runs by
+cross-point signature into lockstep :func:`~repro.core.run_group`
+calls; every other run goes through the executor's ``run``. The
+fixed-trials path (:func:`run_scenario_spec`) calls it once per
+declarative sweep (once per point for the plan-based paper specs) and
+then reduces each point in sweep order; the streaming path
+(:mod:`repro.scenarios.streaming`) calls it once per round. Per-trial
+seeds derive before execution, so a scenario runs serially, on a
+process pool (``jobs=N``), vectorized over the trial axis
+(``jobs="batch"``) or across points (``jobs="xbatch"``) with identical
+rows.
 
 Declarative specs are lowered here too: the topology and assignment
 specs build the network, the interference spec becomes a spectrum
@@ -28,6 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from repro import obs
 from repro.analysis import success_rate, summarize
 from repro.baselines import NaiveBroadcast, NaiveDiscovery
 from repro.core import (
@@ -42,7 +52,7 @@ from repro.core import (
 )
 from repro.graphs import builders, topologies
 from repro.harness.executor import Executor, XBatchExecutor, get_executor
-from repro.harness.runner import ExperimentTable, run_trials
+from repro.harness.runner import ExperimentTable
 from repro.model.errors import HarnessError
 from repro.model.spec import ceil_log2
 from repro.scenarios.spec import ScenarioSpec, resolve
@@ -71,7 +81,7 @@ Jobs = int | str | Executor | None
 
 @dataclass
 class Run:
-    """One ``run_trials`` invocation inside a sweep point.
+    """One trial callable repeated over derived seeds in a sweep point.
 
     Attributes:
         key: Name under which the outcome list reaches the reducer.
@@ -115,21 +125,17 @@ class RunContext:
 class LoweredPoint:
     """One declarative sweep point, lowered for both execution paths.
 
-    The fixed-trials path consumes :attr:`point` (whose reducer is the
-    reference arithmetic golden tables pin). The streaming path
-    (:mod:`repro.scenarios.streaming`) consumes the rest: the same
-    trial callable and seed-stream label, plus the metadata its online
-    accumulators need to reproduce the reducer's columns chunk by
-    chunk — the metric ``family`` names the outcome shape, ``static``
-    carries the point's constant columns (e.g. ``khat``), and
-    ``context`` carries family constants (e.g. the true broadcaster
-    count ``m`` the COUNT metrics normalize by).
+    The fixed-trials path reduces :attr:`point`'s outcomes with its
+    reducer (the reference arithmetic golden tables pin). The
+    streaming path (:mod:`repro.scenarios.streaming`) runs the same
+    ``point.runs[0]`` and folds its outcomes into online accumulators
+    using the rest: the metric ``family`` names the outcome shape,
+    ``static`` carries the point's constant columns (e.g. ``khat``),
+    and ``context`` carries family constants (e.g. the true
+    broadcaster count ``m`` the COUNT metrics normalize by).
     """
 
     point: Point
-    key: str
-    trial: Callable[[int], object]
-    label: str
     params: Row
     family: str
     static: Row = field(default_factory=dict)
@@ -140,7 +146,7 @@ def scenario_plan(spec: ScenarioSpec, ctx: RunContext) -> Iterable[Point]:
     """The spec's point sequence (declarative lowering or its plan)."""
     if spec.plan is not None:
         return spec.plan(ctx)
-    return _declarative_plan(spec, ctx)
+    return (lp.point for lp in lower_points(spec, ctx))
 
 
 def run_scenario_spec(
@@ -165,21 +171,23 @@ def run_scenario_spec(
     ctx = RunContext(
         trials=trials if trials is not None else spec.trials, seed=seed
     )
-    if isinstance(executor, XBatchExecutor) and spec.plan is None:
-        rows = _xbatch_rows(spec, ctx, executor)
-    else:
-        rows = []
-        for point in scenario_plan(spec, ctx):
-            outcomes: Dict[str, list] = {}
-            for run in point.runs:
-                outcomes[run.key] = run_trials(
-                    run.trial,
-                    run.trials if run.trials is not None else ctx.trials,
-                    run.seed,
-                    label=run.label,
-                    executor=executor,
+    # A declarative sweep executes as one batch of points, so xbatch
+    # can group across it; a paper plan goes one point at a time.
+    points = scenario_plan(spec, ctx)
+    batches = (
+        [list(points)] if spec.plan is None else ([p] for p in points)
+    )
+    rows: List[Row] = []
+    for batch in batches:
+        runs = [run for point in batch for run in point.runs]
+        seed_lists = [_trial_seeds(run, ctx) for run in runs]
+        outcomes = iter(_execute(runs, seed_lists, executor))
+        for point in batch:
+            rows.extend(
+                point.reduce(
+                    ctx, {run.key: next(outcomes) for run in point.runs}
                 )
-            rows.extend(point.reduce(ctx, outcomes))
+            )
     notes = spec.notes(rows, ctx) if callable(spec.notes) else spec.notes
     return ExperimentTable(
         experiment_id=spec.table_id,
@@ -190,67 +198,53 @@ def run_scenario_spec(
     )
 
 
-def _xbatch_rows(
-    spec: ScenarioSpec, ctx: RunContext, executor: XBatchExecutor
-) -> List[Row]:
-    """Execute a declarative spec with cross-point lockstep grouping.
+def _trial_seeds(run: Run, ctx: RunContext) -> List[int]:
+    """A run's trial seeds, derived as ``run_trials`` derives them."""
+    count = run.trials if run.trials is not None else ctx.trials
+    if count < 1:
+        raise HarnessError(f"trials must be >= 1, got {count}")
+    return RngHub(run.seed).spawn_seeds(count, name=run.label)
 
-    Runs whose trial factories publish matching
-    :meth:`~repro.core.xbatch.XBatchable.signature` descriptors are
-    concatenated along one trial axis and executed through
-    :func:`repro.core.run_group` — one engine call per protocol step
-    for the whole compatibility group, instead of one per sweep point.
-    Runs without a descriptor fall back to the executor's inherited
-    per-run batch path. Per-trial seeds derive exactly as
-    :func:`~repro.harness.runner.run_trials` derives them, so rows are
-    byte-identical to every other ``jobs`` value; reducers still see
-    outcomes per point, in sweep order.
+
+def _execute(
+    runs: Sequence[Run],
+    seed_lists: Sequence[List[int]],
+    executor: Executor,
+    cap: Optional[int] = None,
+) -> List[list]:
+    """Each run's outcomes over its seeds: the one sweep driver.
+
+    Under an :class:`XBatchExecutor`, runs whose trials carry an
+    ``xbatch`` descriptor are grouped by
+    :meth:`~repro.core.xbatch.XBatchable.signature` and each group
+    runs through :func:`~repro.core.run_group` — one engine call per
+    protocol step for the whole group — with at most the executor's
+    ``batch_size`` (else ``cap``, else all) trials per lockstep
+    execution. Every other run goes through ``executor.run``. Seeds
+    are fixed before execution and each trial draws from its own
+    generators, so grouping never changes an outcome.
     """
-    lowered = list(lower_points(spec, ctx))
-    entries: List[Run] = []  # flattened (point, run) pairs
-    by_point: List[List[int]] = []  # entry indices per lowered point
+    outcomes: List[Optional[list]] = [None] * len(runs)
     groups: Dict[tuple, List[int]] = {}
-    for lp in lowered:
-        idxs: List[int] = []
-        for run in lp.point.runs:
-            e = len(entries)
-            entries.append(run)
-            idxs.append(e)
+    if isinstance(executor, XBatchExecutor):
+        for i, run in enumerate(runs):
             xb = getattr(run.trial, "xbatch", None)
             if xb is not None:
-                groups.setdefault(xb.signature(), []).append(e)
-        by_point.append(idxs)
-
-    def run_seeds(run: Run) -> List[int]:
-        count = run.trials if run.trials is not None else ctx.trials
-        return RngHub(run.seed).spawn_seeds(count, name=run.label)
-
-    grouped: Dict[int, list] = {}
+                groups.setdefault(xb.signature(), []).append(i)
     for members in groups.values():
-        xs = [entries[e].trial.xbatch for e in members]
-        seed_lists = [run_seeds(entries[e]) for e in members]
-        for e, outs in zip(
-            members, run_group(xs, seed_lists, executor.batch_size)
-        ):
-            grouped[e] = outs
-
-    rows: List[Row] = []
-    for lp, idxs in zip(lowered, by_point):
-        outcomes: Dict[str, list] = {}
-        for e in idxs:
-            run = entries[e]
-            if e in grouped:
-                outcomes[run.key] = grouped[e]
-            else:
-                outcomes[run.key] = run_trials(
-                    run.trial,
-                    run.trials if run.trials is not None else ctx.trials,
-                    run.seed,
-                    label=run.label,
-                    executor=executor,
-                )
-        rows.extend(lp.point.reduce(ctx, outcomes))
-    return rows
+        seeds = [seed_lists[i] for i in members]
+        obs.count("executor.trials", sum(len(s) for s in seeds))
+        group_outcomes = run_group(
+            [runs[i].trial.xbatch for i in members],
+            seeds,
+            executor.batch_size or cap,
+        )
+        for i, outs in zip(members, group_outcomes):
+            outcomes[i] = outs
+    return [
+        outs if outs is not None else executor.run(run.trial, seeds)
+        for run, seeds, outs in zip(runs, seed_lists, outcomes)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -440,9 +434,6 @@ def _lower_point(
                 runs=[Run("count", trial, label, ctx.seed)],
                 reduce=reduce_count,
             ),
-            key="count",
-            trial=trial,
-            label=label,
             params=params,
             family="count",
             static={"slots": rounds * length},
@@ -511,9 +502,6 @@ def _lower_point(
                 runs=[Run(kind, trial, label, ctx.seed)],
                 reduce=reduce_discovery,
             ),
-            key=kind,
-            trial=trial,
-            label=label,
             params=params,
             family="discovery",
             static=dict(extra_cols),
@@ -558,9 +546,6 @@ def _lower_point(
                 runs=[Run("cgcast", trial, label, ctx.seed)],
                 reduce=reduce_cgcast,
             ),
-            key="cgcast",
-            trial=trial,
-            label=label,
             params=params,
             family="cgcast",
         )
@@ -593,9 +578,6 @@ def _lower_point(
                 runs=[Run("naive_discovery", nd_trial, label, ctx.seed)],
                 reduce=reduce_nd,
             ),
-            key="naive_discovery",
-            trial=nd_trial,
-            label=label,
             params=params,
             family="discovery",
         )
@@ -621,9 +603,6 @@ def _lower_point(
             runs=[Run("naive_broadcast", nb_trial, label, ctx.seed)],
             reduce=reduce_nb,
         ),
-        key="naive_broadcast",
-        trial=nb_trial,
-        label=label,
         params=params,
         family="broadcast",
     )
@@ -634,10 +613,9 @@ def lower_points(
 ) -> Iterable[LoweredPoint]:
     """Lower a declarative spec's sweep into :class:`LoweredPoint`\\ s.
 
-    The streaming path's entry into the lowering — same trial
-    construction as the fixed path (both come from one
-    :func:`_lower_point` call per sweep point), so the two paths run
-    identical workloads and differ only in how outcomes aggregate.
+    Both execution paths lower through here (one :func:`_lower_point`
+    call per sweep point), so they run identical workloads and differ
+    only in how outcomes aggregate.
 
     Raises:
         HarnessError: for plan-based specs, which have no declarative
@@ -652,10 +630,3 @@ def lower_points(
     for idx, params in enumerate(points):
         yield _lower_point(spec, ctx, idx, params)
 
-
-def _declarative_plan(
-    spec: ScenarioSpec, ctx: RunContext
-) -> Iterable[Point]:
-    points = spec.sweep.points() if spec.sweep is not None else [{}]
-    for idx, params in enumerate(points):
-        yield _lower_point(spec, ctx, idx, params).point

@@ -10,9 +10,8 @@ table is row-identical to the pre-scenario implementation at a fixed
 shared trial factories in :mod:`repro.scenarios.trials`.
 
 The experiment *defaults* (trials per configuration) and the notes
-interpreting each table against the paper's claim live here too; the
-legacy entry points in :mod:`repro.harness.experiments` are thin
-wrappers over these specs.
+interpreting each table against the paper's claim live here too; run
+one with ``run_scenario(paper_spec("E2"), ...)`` (the CLI's ``run``).
 """
 
 from __future__ import annotations

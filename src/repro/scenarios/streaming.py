@@ -3,15 +3,24 @@
 The fixed-trials path (:func:`repro.scenarios.compile.run_scenario_spec`)
 materializes every trial outcome and reduces at the end — the reference
 semantics golden tables pin. This module is the scalable counterpart:
-:func:`stream_scenario_spec` runs each sweep point in memory-capped
-chunks (:func:`repro.harness.runner.stream_trials`), folds outcomes into
-online accumulators (:mod:`repro.analysis.stats`), and stops as soon as
-every metric named by the spec's :class:`~repro.scenarios.spec.
-PrecisionSpec` has a confidence interval narrower than its target —
-Wilson for rates, t-based for means. Easy points stop at ``min_trials``;
-hard points run until ``max_trials``; peak memory is ``O(chunk)``
-throughout, so a million-trial point costs no more resident state than a
-thousand-trial one.
+:func:`stream_scenario_spec` runs the sweep in rounds, folds each
+round's outcomes into online accumulators (:mod:`repro.analysis.stats`),
+and stops a point as soon as every metric named by the spec's
+:class:`~repro.scenarios.spec.PrecisionSpec` has a confidence interval
+narrower than its target — Wilson for rates, t-based for means. Easy
+points stop at ``min_trials``; hard points run until ``max_trials``;
+peak memory is ``O(chunk)`` throughout, so a million-trial point costs
+no more resident state than a thousand-trial one.
+
+Each round is one call of the compiler's sweep driver
+(:func:`repro.scenarios.compile._execute`) over the points still
+running, with the next chunk of seeds from each point's own
+prefix-stable :class:`~repro.sim.rng.SeedStream`. Chunks follow the
+streaming executor's schedule
+(:meth:`~repro.harness.executor.StreamingExecutor.chunk_sizes`):
+``initial_chunk`` doubling per round up to ``chunk_size``. Under
+``jobs="xbatch"`` the driver locksteps compatible points of a round
+together; otherwise each point's chunk goes through the inner executor.
 
 Both paths share one lowering (:func:`repro.scenarios.compile.
 lower_points`): the same trial closures, seeds and seed-stream labels,
@@ -28,26 +37,22 @@ record as achieved precision.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
+from repro import obs
 from repro.analysis.stats import (
     P2Quantile,
     StreamingMoments,
     StreamingRate,
     mean_halfwidth,
 )
-from repro.core import run_group
-from repro.harness.executor import (
-    Executor,
-    StreamingExecutor,
-    XBatchExecutor,
-    get_executor,
-)
-from repro.harness.runner import ExperimentTable, stream_trials
+from repro.harness.executor import Executor, StreamingExecutor, get_executor
+from repro.harness.runner import ExperimentTable
 from repro.model.errors import HarnessError
 from repro.scenarios.compile import (
     LoweredPoint,
     RunContext,
+    _execute,
     _filter_metrics,
     lower_points,
 )
@@ -288,7 +293,7 @@ def make_accumulator(lowered: LoweredPoint) -> PointAccumulator:
 
 
 #: First chunk size of the scenario streaming path; chunks double per
-#: round toward the cap while a point (or group) remains unconverged,
+#: round toward the cap while a point remains unconverged,
 #: so easy points stop within a few trials of their convergence point
 #: instead of overshooting by a whole fixed-size chunk.
 ADAPTIVE_START = 64
@@ -355,124 +360,25 @@ def _targets_met(acc: PointAccumulator, precision: PrecisionSpec) -> bool:
     )
 
 
+def _stopped(acc: PointAccumulator, precision: PrecisionSpec) -> bool:
+    """The stop rule: ``max_trials``, or targets met past ``min_trials``."""
+    return acc.count >= precision.max_trials or (
+        acc.count >= precision.min_trials and _targets_met(acc, precision)
+    )
+
+
 def _finish_row(
     spec: ScenarioSpec,
     precision: PrecisionSpec,
     lowered: LoweredPoint,
     acc: PointAccumulator,
-    ran: int,
 ) -> Row:
     row = _filter_metrics(spec, lowered.params, acc.metrics())[0]
-    row["trials"] = ran
+    row["trials"] = acc.count
     row["converged"] = _targets_met(acc, precision)
     for metric in precision.targets:
         row[f"ci_{metric}"] = acc.halfwidth(metric, precision.confidence)
     return row
-
-
-def _stream_xbatch_rows(
-    spec: ScenarioSpec,
-    precision: PrecisionSpec,
-    executor: StreamingExecutor,
-    lowered: List[LoweredPoint],
-) -> List[Row]:
-    """Stream a sweep with chunks interleaved across compatible points.
-
-    The cross-point counterpart of the per-point streaming loop: points
-    whose trial factories publish matching
-    :meth:`~repro.core.xbatch.XBatchable.signature` descriptors draw
-    their next chunk of seeds together and execute it as one lockstep
-    group per round (:func:`repro.core.run_group`, capped at the
-    executor's chunk size), so per-step engine overhead amortizes over
-    every still-unconverged point instead of one. A point leaves its
-    group's rotation as soon as its targets are met (past
-    ``min_trials``) or it exhausts ``max_trials``; chunks start at the
-    executor's ``initial_chunk`` and double per round toward the cap.
-    Seeds come from each point's own prefix-stable stream, so trial
-    ``i`` of every point is bit-identical to the per-point paths; only
-    chunk boundaries (and therefore stopping granularity) differ.
-    Points without a cross-point descriptor fall back to the per-point
-    streaming loop.
-    """
-    states = []
-    for lp in lowered:
-        acc = make_accumulator(lp)
-        _validate_targets(spec, precision, acc, lp)
-        run = lp.point.runs[0]
-        states.append(
-            {
-                "lp": lp,
-                "acc": acc,
-                "done": 0,
-                "stopped": False,
-                "stream": RngHub(run.seed).seed_stream(name=run.label),
-                "xb": getattr(lp.trial, "xbatch", None),
-            }
-        )
-    groups: Dict[tuple, list] = {}
-    for st in states:
-        if st["xb"] is not None:
-            groups.setdefault(st["xb"].signature(), []).append(st)
-    for members in groups.values():
-        chunk = executor.initial_chunk or executor.chunk_size
-        while True:
-            active = [st for st in members if not st["stopped"]]
-            if not active:
-                break
-            seed_lists = [
-                st["stream"].take(
-                    min(chunk, precision.max_trials - st["done"])
-                )
-                for st in active
-            ]
-            group_outs = run_group(
-                [st["xb"] for st in active],
-                seed_lists,
-                executor.chunk_size,
-            )
-            for st, outcomes in zip(active, group_outs):
-                st["acc"].consume(outcomes)
-                st["done"] += len(outcomes)
-                if st["done"] >= precision.max_trials or (
-                    st["done"] >= precision.min_trials
-                    and _targets_met(st["acc"], precision)
-                ):
-                    st["stopped"] = True
-            chunk = min(chunk * 2, executor.chunk_size)
-    rows: List[Row] = []
-    for st in states:
-        lp, acc = st["lp"], st["acc"]
-        if st["xb"] is None:
-            st["done"] = _stream_point(
-                spec, precision, executor, lp, acc
-            )
-        rows.append(_finish_row(spec, precision, lp, acc, st["done"]))
-    return rows
-
-
-def _stream_point(
-    spec: ScenarioSpec,
-    precision: PrecisionSpec,
-    executor: StreamingExecutor,
-    lowered: LoweredPoint,
-    acc: PointAccumulator,
-) -> int:
-    """Stream one point through ``stream_trials``; return trials run."""
-
-    def consume(outcomes: list, total: int) -> bool:
-        acc.consume(outcomes)
-        if total < precision.min_trials:
-            return False
-        return _targets_met(acc, precision)
-
-    return stream_trials(
-        lowered.trial,
-        lowered.point.runs[0].seed,
-        consume,
-        max_trials=precision.max_trials,
-        label=lowered.label,
-        executor=executor,
-    )
 
 
 def stream_scenario_spec(
@@ -489,9 +395,8 @@ def stream_scenario_spec(
             seed the fixed path would derive.
         jobs: Execution strategy for each chunk (default: vectorized
             batch); a ``"stream:N"`` value sets the chunk size too,
-            and ``"xbatch"`` interleaves chunks across sweep points
-            with matching cross-point signatures (see
-            :func:`_stream_xbatch_rows`).
+            and ``"xbatch"`` locksteps each round's chunks across
+            sweep points with matching cross-point signatures.
         precision: The stopping contract; defaults to the spec's own
             ``precision`` field.
 
@@ -513,18 +418,35 @@ def stream_scenario_spec(
         )
     executor = _streaming_executor(jobs, precision)
     ctx = RunContext(trials=precision.max_trials, seed=seed)
-    if isinstance(executor.inner, XBatchExecutor):
-        lowered_points = list(lower_points(spec, ctx))
-        rows = _stream_xbatch_rows(
-            spec, precision, executor, lowered_points
-        )
-    else:
-        rows = []
-        for lowered in lower_points(spec, ctx):
-            acc = make_accumulator(lowered)
-            _validate_targets(spec, precision, acc, lowered)
-            ran = _stream_point(spec, precision, executor, lowered, acc)
-            rows.append(_finish_row(spec, precision, lowered, acc, ran))
+    lowered = list(lower_points(spec, ctx))
+    accs = [make_accumulator(lp) for lp in lowered]
+    for lp, acc in zip(lowered, accs):
+        _validate_targets(spec, precision, acc, lp)
+    runs = [lp.point.runs[0] for lp in lowered]
+    streams = [RngHub(run.seed).seed_stream(name=run.label) for run in runs]
+    active = list(range(len(lowered)))
+    for chunk in executor.chunk_sizes():
+        if not active:
+            break
+        seed_lists = [
+            streams[i].take(min(chunk, precision.max_trials - accs[i].count))
+            for i in active
+        ]
+        obs.count("stream.chunks", len(active))
+        with obs.span("chunk"):
+            outcomes = _execute(
+                [runs[i] for i in active],
+                seed_lists,
+                executor.inner,
+                cap=executor.chunk_size,
+            )
+        for i, outs in zip(active, outcomes):
+            accs[i].consume(outs)
+        active = [i for i in active if not _stopped(accs[i], precision)]
+    rows = [
+        _finish_row(spec, precision, lp, acc)
+        for lp, acc in zip(lowered, accs)
+    ]
     notes = spec.notes(rows, ctx) if callable(spec.notes) else spec.notes
     return ExperimentTable(
         experiment_id=spec.table_id,

@@ -1,7 +1,8 @@
 """Trial-closure factories — serial trials paired with their batch program.
 
-Every experiment ultimately hands :func:`repro.harness.runner.run_trials`
-a callable of one trial seed. These factories build that callable once
+Every experiment ultimately hands the scenario sweep driver
+(:mod:`repro.scenarios.compile`) a callable of one trial seed. These
+factories build that callable once
 per protocol family and attach an ``xbatch`` descriptor
 (:mod:`repro.core.xbatch`) naming the family's one lockstep program.
 The descriptor serves both vectorized executors: ``jobs="xbatch"``

@@ -1,21 +1,20 @@
-"""Unit tests for the experiment harness (tables, runner, registry,
-executors, and the result cache)."""
+"""Unit tests for the experiment harness (tables, runner, executors and
+the result cache) and for running the paper experiments E1-E12 through
+:func:`repro.scenarios.run_scenario`."""
 
 import pytest
 
 from repro.harness import (
-    EXPERIMENTS,
     ExperimentTable,
     cache_key,
-    experiment_ids,
     load_table,
     render_markdown,
-    run_experiment,
     run_trials,
     store_table,
     write_csv,
 )
 from repro.model import HarnessError
+from repro.scenarios import PAPER_SPECS, paper_spec, run_scenario
 
 
 class TestRenderMarkdown:
@@ -128,7 +127,7 @@ class TestExecutionEquivalence:
 
     Per-trial seeds are derived up front (RngHub.spawn_seeds), so the
     execution strategy must be a pure throughput decision; these tests
-    pin that contract at the run_trials and run_experiment levels.
+    pin that contract at the run_trials and run_scenario levels.
     """
 
     def test_run_trials_strategies_bit_identical(self):
@@ -150,16 +149,16 @@ class TestExecutionEquivalence:
     def test_e1_rows_identical_across_strategies(self):
         # E1 exercises the full stack: run_count_step_batch under
         # "batch", fork workers under jobs=2, and the serial reference.
-        serial = run_experiment("E1", trials=4, seed=9)
-        parallel = run_experiment("E1", trials=4, seed=9, jobs=2)
-        batched = run_experiment("E1", trials=4, seed=9, jobs="batch")
+        serial = run_scenario("E1", trials=4, seed=9)
+        parallel = run_scenario("E1", trials=4, seed=9, jobs=2)
+        batched = run_scenario("E1", trials=4, seed=9, jobs="batch")
         assert serial.rows == parallel.rows
         assert serial.rows == batched.rows
 
     @pytest.mark.integration
     def test_e7_rows_identical_serial_vs_parallel(self):
-        serial = run_experiment("E7", trials=4, seed=2)
-        parallel = run_experiment("E7", trials=4, seed=2, jobs=2)
+        serial = run_scenario("E7", trials=4, seed=2)
+        parallel = run_scenario("E7", trials=4, seed=2, jobs=2)
         assert serial.rows == parallel.rows
 
 
@@ -216,19 +215,19 @@ class TestResultCache:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("")
         with pytest.warns(UserWarning, match="result cache"):
-            table = run_experiment(
+            table = run_scenario(
                 "E1", trials=2, seed=4, cache=True, cache_dir=blocker
             )
         assert table.rows
 
     @pytest.mark.integration
-    def test_run_experiment_cache_hit_skips_execution(self, tmp_path):
-        first = run_experiment(
+    def test_run_scenario_cache_hit_skips_execution(self, tmp_path):
+        first = run_scenario(
             "E1", trials=2, seed=4, cache=True, cache_dir=tmp_path
         )
         entries = list(tmp_path.glob("e1-*.json"))
         assert len(entries) == 1
-        again = run_experiment(
+        again = run_scenario(
             "E1", trials=2, seed=4, cache=True, cache_dir=tmp_path
         )
         assert [list(r.items()) for r in again.rows] == [
@@ -241,26 +240,25 @@ class TestResultCache:
 class TestRegistry:
     def test_ids_cover_design_index(self):
         # E1-E10 regenerate the paper's claims; E11/E12 are extensions.
-        assert experiment_ids() == [f"E{i}" for i in range(1, 13)]
+        assert list(PAPER_SPECS) == [f"E{i}" for i in range(1, 13)]
 
     def test_unknown_id_errors(self):
-        with pytest.raises(HarnessError):
-            run_experiment("E99")
+        with pytest.raises(HarnessError, match="unknown experiment"):
+            paper_spec("E99")
 
     def test_case_insensitive(self):
-        assert "E1" in EXPERIMENTS
-        table = run_experiment("e1", trials=2, seed=1)
+        table = run_scenario(paper_spec("e1"), trials=2, seed=1)
         assert table.experiment_id == "E1"
 
     @pytest.mark.integration
     def test_e1_smoke(self):
-        table = run_experiment("E1", trials=3, seed=2)
+        table = run_scenario("E1", trials=3, seed=2)
         assert table.rows
         assert {"rule", "m", "median_ratio"} <= set(table.rows[0])
 
     @pytest.mark.integration
     def test_e7_smoke(self):
-        table = run_experiment("E7", trials=10, seed=3)
+        table = run_scenario("E7", trials=10, seed=3)
         # Lemma 10 rows (k <= c/2): the fresh/uniform players' medians
         # sit comfortably above the c^2/(8k) floor even at few trials.
         checked = 0

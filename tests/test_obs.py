@@ -27,7 +27,11 @@ from repro.campaigns.report import campaign_report, diff_refs, telemetry_section
 from repro.cli import main
 from repro.harness import ParallelExecutor, SerialExecutor
 from repro.harness.executor import StreamingExecutor
-from repro.scenarios import run_scenario_spec
+from repro.scenarios import (
+    PrecisionSpec,
+    run_scenario_spec,
+    stream_scenario_spec,
+)
 
 from tests.test_xbatch import tiny_cseek_sweep
 
@@ -210,17 +214,39 @@ class TestExecutorTelemetry:
 class TestRowsUnchanged:
     """Telemetry on vs off: rows must be byte-identical."""
 
-    @pytest.mark.parametrize("jobs", ["serial", "batch"])
+    @pytest.mark.parametrize("jobs", ["serial", "batch", "xbatch"])
     def test_rows_identical_with_telemetry(self, jobs):
         spec = tiny_cseek_sweep()
         reference = run_scenario_spec(spec, seed=3, jobs=jobs)
         with obs.capture() as tel:
             got = run_scenario_spec(spec, seed=3, jobs=jobs)
         assert got.rows == reference.rows
-        # And telemetry actually recorded something meaningful.
+        # And telemetry actually recorded something meaningful: every
+        # trial once (3 points x 3 trials), grouped or not.
         snap = tel.snapshot()
-        assert snap["counters"]["executor.trials"] > 0
+        assert snap["counters"]["executor.trials"] == 9
         assert "discovery" in snap["spans"]
+
+    def test_streamed_counters_match_per_point(self):
+        spec = tiny_cseek_sweep(
+            precision=PrecisionSpec(
+                targets={"success": 1e-9},
+                min_trials=8,
+                max_trials=8,
+                chunk=8,
+            )
+        )
+        counters = {}
+        for jobs in (None, "xbatch"):
+            with obs.capture() as tel:
+                stream_scenario_spec(spec, seed=3, jobs=jobs)
+            snap = tel.snapshot()["counters"]
+            counters[jobs] = (
+                snap.get("executor.trials"),
+                snap.get("stream.chunks"),
+            )
+        # One chunk per point per round: 3 points x one 8-trial round.
+        assert counters[None] == counters["xbatch"] == (24, 3)
 
 
 def tel_campaign(name="tel-tiny"):

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import run_experiment
 from repro.scenarios import paper_spec, run_scenario
 
 GOLDEN = json.loads(
@@ -32,23 +31,14 @@ def _normalize(rows):
 @pytest.mark.parametrize("experiment_id", sorted(GOLDEN))
 def test_rows_identical_to_pre_scenario_harness(experiment_id):
     golden = GOLDEN[experiment_id]
-    table = run_experiment(
-        experiment_id,
+    table = run_scenario(
+        paper_spec(experiment_id),
         trials=golden["trials"],
         seed=golden["seed"],
         jobs="batch",
     )
     assert table.title == golden["title"]
     assert _normalize(table.rows) == golden["rows"]
-
-
-@pytest.mark.integration
-def test_run_scenario_matches_run_experiment():
-    # The scenario entry point and the legacy experiment entry point
-    # are the same computation.
-    golden = GOLDEN["E1"]
-    via_scenario = run_scenario("E1", trials=golden["trials"], seed=0)
-    assert _normalize(via_scenario.rows) == golden["rows"]
 
 
 def test_paper_specs_cover_all_experiments():

@@ -389,6 +389,16 @@ class TestStreamScenario:
             assert row["converged"] is True
             assert row["ci_band_rate"] <= 0.5
 
+    def test_min_trials_outlasts_small_chunks(self):
+        # Targets met after the first 4-trial chunk; the point still
+        # runs on to min_trials.
+        table = stream_scenario_spec(
+            tiny_count_spec(precision=loose_precision(chunk=4))
+        )
+        for row in table.rows:
+            assert row["trials"] == 8
+            assert row["converged"] is True
+
     def test_hard_point_runs_to_max_trials(self):
         table = stream_scenario_spec(
             tiny_count_spec(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import xbatch as xbatch_module
 from repro.core import (
     CSeek,
     CSeekBatch,
@@ -344,23 +345,91 @@ class TestScenarioXBatch:
         assert get_executor("xbatch:64").batch_size == 64
 
 
+def unconverging_cseek_stream():
+    # Impossible targets force every point to max_trials.
+    return tiny_cseek_sweep(
+        precision=PrecisionSpec(
+            targets={"success": 1e-9},
+            min_trials=4,
+            max_trials=8,
+            chunk=4,
+        )
+    )
+
+
+def converging_cseek_stream():
+    # At seed 3 every point converges after three 4-trial rounds.
+    return tiny_cseek_sweep(
+        precision=PrecisionSpec(
+            targets={"success": 0.15},
+            min_trials=4,
+            max_trials=64,
+            chunk=4,
+        )
+    )
+
+
+def converging_count_stream():
+    # At seed 3 the two points converge in different rounds (12 and 16
+    # trials).
+    return tiny_count_sweep(
+        precision=PrecisionSpec(
+            targets={"band_rate": 0.15},
+            min_trials=4,
+            max_trials=64,
+            chunk=4,
+        )
+    )
+
+
+STREAMS = {
+    "cseek-unconverged": unconverging_cseek_stream,
+    "cseek-converged": converging_cseek_stream,
+    "count-converged": converging_count_stream,
+}
+
+
 class TestStreamingXBatch:
-    def test_unconverging_stream_rows_match_per_point(self):
-        # Impossible targets force every point to max_trials, so the
-        # per-point and interleaved paths see identical trial counts
-        # and must produce identical rows.
-        spec = tiny_cseek_sweep(
+    @pytest.mark.parametrize(
+        "jobs", ["serial", "batch:2", "xbatch", "xbatch:2", 2]
+    )
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    def test_stream_rows_match_per_point(self, stream, jobs):
+        # Every jobs value runs the same chunk schedule, so points stop
+        # after the same trials and rows equal the jobs=None stream.
+        spec = STREAMS[stream]()
+        per_point = stream_scenario_spec(spec, seed=3, jobs=None)
+        got = stream_scenario_spec(spec, seed=3, jobs=jobs)
+        assert got.rows == per_point.rows
+        if stream == "cseek-unconverged":
+            assert all(row["trials"] == 8 for row in got.rows)
+        else:
+            assert all(row["converged"] for row in got.rows)
+
+    def test_xbatch_n_caps_lockstep_executions(self, monkeypatch):
+        sizes = []
+        runner = xbatch_module._RUNNERS["cseek"]
+
+        def recording(xs, seed_lists):
+            sizes.append(sum(len(seeds) for seeds in seed_lists))
+            return runner(xs, seed_lists)
+
+        monkeypatch.setitem(xbatch_module._RUNNERS, "cseek", recording)
+        spec = tiny_cseek_sweep()
+        run_scenario_spec(spec, seed=2, jobs="xbatch:2")
+        assert sizes == [2, 2, 2, 2, 1]
+        streamed = tiny_cseek_sweep(
             precision=PrecisionSpec(
                 targets={"success": 1e-9},
-                min_trials=4,
+                min_trials=8,
                 max_trials=8,
-                chunk=4,
+                chunk=8,
             )
         )
-        per_point = stream_scenario_spec(spec, seed=3, jobs=None)
-        grouped = stream_scenario_spec(spec, seed=3, jobs="xbatch")
-        assert grouped.rows == per_point.rows
-        assert all(row["trials"] == 8 for row in grouped.rows)
+        for jobs, expected in (("xbatch:2", [2] * 12), ("xbatch", [8] * 3)):
+            sizes.clear()
+            stream_scenario_spec(streamed, seed=2, jobs=jobs)
+            assert sizes == expected, jobs
 
     def test_converged_points_leave_the_group(self):
         spec = tiny_count_sweep(
