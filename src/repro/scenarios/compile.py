@@ -25,15 +25,17 @@ environment (:mod:`repro.sim.environment` — Markov, Poisson or static
 primary-user traffic), the protocol spec picks a trial factory from
 :mod:`repro.scenarios.trials` (the home of ``run_batch`` generation,
 apart from E11's plan-level ``run_batch`` in :mod:`repro.scenarios.paper`),
-and a stock reducer computes the protocol family's metric
-columns. Plan-based specs (the paper experiments) skip the lowering and
-supply Points directly.
+and the protocol kind's :class:`Column` tuple defines its metric
+columns once for both the fixed reducer (:func:`fold_columns`) and the
+streaming accumulator. Plan-based specs (the paper experiments) skip
+the lowering and supply Points directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,10 +68,12 @@ from repro.scenarios.trials import (
 from repro.sim import SpectrumEnvironment, make_environment
 
 __all__ = [
+    "Column",
     "LoweredPoint",
     "Point",
     "Run",
     "RunContext",
+    "fold_columns",
     "lower_points",
     "run_scenario_spec",
     "scenario_plan",
@@ -125,21 +129,18 @@ class RunContext:
 class LoweredPoint:
     """One declarative sweep point, lowered for both execution paths.
 
-    The fixed-trials path reduces :attr:`point`'s outcomes with its
-    reducer (the reference arithmetic golden tables pin). The
+    ``columns`` are the point's metric columns, defined once per
+    protocol kind. The fixed-trials path runs :attr:`point` and its
+    reducer folds all outcomes with :func:`fold_columns`; the
     streaming path (:mod:`repro.scenarios.streaming`) runs the same
-    ``point.runs[0]`` and folds its outcomes into online accumulators
-    using the rest: the metric ``family`` names the outcome shape,
-    ``static`` carries the point's constant columns (e.g. ``khat``),
-    and ``context`` carries family constants (e.g. the true
-    broadcaster count ``m`` the COUNT metrics normalize by).
+    ``point.runs[0]`` chunk by chunk and folds the same columns
+    online. Golden tables pin the paper experiments E1–E12, which are
+    plan-based and never lowered here.
     """
 
     point: Point
     params: Row
-    family: str
-    static: Row = field(default_factory=dict)
-    context: Row = field(default_factory=dict)
+    columns: Tuple[Column, ...]
 
 
 def scenario_plan(spec: ScenarioSpec, ctx: RunContext) -> Iterable[Point]:
@@ -336,19 +337,73 @@ def _environment(
     )
 
 
-def _filter_metrics(
-    spec: ScenarioSpec, params: Row, metrics: Row
-) -> List[Row]:
+@dataclass(frozen=True)
+class Column:
+    """One metric column of a protocol kind's table.
+
+    ``kind`` says how a point's outcomes fold into the column:
+    ``const`` reports ``value``; ``first`` the ``pick`` of the first
+    outcome; ``rate`` the fraction of truthy picks; ``mean`` the mean of
+    the non-None picks (None when there are none); ``median`` the
+    median of the picks. Rate and mean columns are CI-targetable.
+    """
+
+    name: str
+    kind: str
+    pick: Optional[Callable[[object], object]] = None
+    value: object = None
+
+
+#: Column kinds the streaming path can stop on (Wilson / t intervals).
+TARGETABLE_KINDS = ("rate", "mean")
+
+
+def fold_columns(columns: Sequence[Column], outcomes: list) -> Row:
+    """The metric columns of a point's materialized outcomes."""
+    row: Row = {}
+    for col in columns:
+        if col.kind == "const":
+            row[col.name] = col.value
+            continue
+        picks = [col.pick(o) for o in outcomes]
+        if col.kind == "first":
+            row[col.name] = picks[0]
+        elif col.kind == "rate":
+            row[col.name] = success_rate(picks)
+        elif col.kind == "mean":
+            kept = [p for p in picks if p is not None]
+            row[col.name] = summarize(kept).mean if kept else None
+        else:
+            row[col.name] = float(np.median(picks))
+    return row
+
+
+def _point_row(spec: ScenarioSpec, params: Row, metrics: Row) -> Row:
+    """A point's table row: its sweep params, then the chosen metrics."""
     if spec.metrics is not None:
-        unknown = set(spec.metrics) - set(metrics)
-        if unknown:
-            raise HarnessError(
-                f"scenario {spec.name!r} requests unknown metrics: "
-                f"{', '.join(sorted(unknown))}; available: "
-                f"{', '.join(metrics)}"
-            )
         metrics = {k: metrics[k] for k in spec.metrics}
-    return [{**params, **metrics}]
+    return {**params, **metrics}
+
+
+def _check_columns(spec: ScenarioSpec, columns: Sequence[Column]) -> None:
+    """Fail before execution on metrics or targets no column provides."""
+    names = [col.name for col in columns]
+    unknown = set(spec.metrics or ()) - set(names)
+    if unknown:
+        raise HarnessError(
+            f"scenario {spec.name!r} requests unknown metrics: "
+            f"{', '.join(sorted(unknown))}; available: {', '.join(names)}"
+        )
+    if spec.precision is None:
+        return
+    targetable = [c.name for c in columns if c.kind in TARGETABLE_KINDS]
+    for metric in spec.precision.targets:
+        if metric not in targetable:
+            raise HarnessError(
+                f"scenario {spec.name!r}: precision target {metric!r} is "
+                f"not CI-targetable for protocol {spec.protocol.kind!r}; "
+                f"targetable: {', '.join(targetable) or 'none'}"
+            )
 
 
 def _discovered_fraction(result, truth) -> float:
@@ -363,22 +418,55 @@ def _discovered_fraction(result, truth) -> float:
     return found / total
 
 
-def _discovery_metrics(outcomes: list) -> Row:
-    """Stock columns for discovery trials.
+def _completion(outcome) -> Optional[object]:
+    """An ``(ok, slot, ...)`` outcome's slot when it succeeded."""
+    return outcome[1] if outcome[0] else None
 
-    Each outcome is ``(success, completion_slot, total_slots,
-    discovered_fraction)``; the fraction keeps starved-budget ablations
-    informative where binary success saturates at 0 or 1.
-    """
-    done = [t for ok, t, _, _ in outcomes if ok and t is not None]
-    return {
-        "success": success_rate([ok for ok, _, _, _ in outcomes]),
-        "discovered_fraction": summarize(
-            [f for _, _, _, f in outcomes]
-        ).mean,
-        "mean_completion": summarize(done).mean if done else None,
-        "schedule_slots": outcomes[0][2],
-    }
+
+# Discovery outcomes are ``(success, completion_slot, total_slots,
+# discovered_fraction)``; the fraction keeps starved-budget ablations
+# informative where binary success saturates at 0 or 1.
+_DISCOVERY_COLUMNS = (
+    Column("success", "rate", itemgetter(0)),
+    Column("discovered_fraction", "mean", itemgetter(3)),
+    Column("mean_completion", "mean", _completion),
+    Column("schedule_slots", "first", itemgetter(2)),
+)
+# CGCAST: ``(success, dissemination_slots, total_slots)``.
+_CGCAST_COLUMNS = (
+    Column("success", "rate", itemgetter(0)),
+    Column("mean_dissemination", "mean", _completion),
+    Column("schedule_slots", "first", itemgetter(2)),
+)
+# Naive broadcast: ``(success, completion_slot)``.
+_BROADCAST_COLUMNS = (
+    Column("success", "rate", itemgetter(0)),
+    Column("mean_completion", "mean", _completion),
+)
+
+
+def _lowered(
+    spec: ScenarioSpec,
+    ctx: RunContext,
+    idx: int,
+    params: Row,
+    trial: Callable[[int], object],
+    columns: Sequence[Column],
+) -> LoweredPoint:
+    """A sweep point of one run whose row is ``params`` + ``columns``."""
+    key = spec.protocol.kind
+
+    def reduce(ctx, outcomes):
+        return [_point_row(spec, params, fold_columns(columns, outcomes[key]))]
+
+    return LoweredPoint(
+        point=Point(
+            runs=[Run(key, trial, f"{spec.name}[{idx}]", ctx.seed)],
+            reduce=reduce,
+        ),
+        params=params,
+        columns=tuple(columns),
+    )
 
 
 def _lower_point(
@@ -388,7 +476,6 @@ def _lower_point(
     scope.update(seed=ctx.seed, point=idx, pseed=ctx.seed + idx)
     kind = spec.protocol.kind
     proto_params = dict(resolve(dict(spec.protocol.params), scope))
-    label = f"{spec.name}[{idx}]"
 
     if kind == "count":
         if "m" not in proto_params:
@@ -417,27 +504,18 @@ def _lower_point(
             environment=_environment(spec, scope, [0]),
         )
         rounds, length = count_schedule(max_count, log_n, constants)
-
-        def reduce_count(ctx, outcomes, m=m, slots=rounds * length):
-            estimates = outcomes["count"]
-            metrics = {
-                "median_ratio": float(np.median([e / m for e in estimates])),
-                "band_rate": success_rate(
-                    [m / 4 <= e <= 4 * m for e in estimates]
-                ),
-                "slots": slots,
-            }
-            return _filter_metrics(spec, params, metrics)
-
-        return LoweredPoint(
-            point=Point(
-                runs=[Run("count", trial, label, ctx.seed)],
-                reduce=reduce_count,
+        # Lemma 1's factor-4 band around the true broadcaster count.
+        return _lowered(
+            spec,
+            ctx,
+            idx,
+            params,
+            trial,
+            (
+                Column("median_ratio", "median", lambda e: e / m),
+                Column("band_rate", "rate", lambda e: m / 4 <= e <= 4 * m),
+                Column("slots", "const", value=rounds * length),
             ),
-            params=params,
-            family="count",
-            static={"slots": rounds * length},
-            context={"m": m},
         )
 
     net = _build_net(spec, scope)
@@ -472,7 +550,11 @@ def _lower_point(
                     _discovered_fraction(result, truth),
                 )
 
-            extra_cols = {"khat": khat, "delta_khat": delta_khat}
+            columns = (
+                Column("khat", "const", value=khat),
+                Column("delta_khat", "const", value=delta_khat),
+                *_DISCOVERY_COLUMNS,
+            )
         else:
             truth = net.true_neighbor_sets()
 
@@ -488,24 +570,11 @@ def _lower_point(
                     _discovered_fraction(result, truth),
                 )
 
-            extra_cols = {}
+            columns = _DISCOVERY_COLUMNS
         trial = cseek_trial(
             make_protocol, postprocess, environment=environment
         )
-
-        def reduce_discovery(ctx, outcomes, extra_cols=extra_cols):
-            metrics = {**extra_cols, **_discovery_metrics(outcomes[kind])}
-            return _filter_metrics(spec, params, metrics)
-
-        return LoweredPoint(
-            point=Point(
-                runs=[Run(kind, trial, label, ctx.seed)],
-                reduce=reduce_discovery,
-            ),
-            params=params,
-            family="discovery",
-            static=dict(extra_cols),
-        )
+        return _lowered(spec, ctx, idx, params, trial, columns)
 
     if kind == "cgcast":
         source = int(proto_params.pop("source", 0))
@@ -528,32 +597,13 @@ def _lower_point(
         trial = cgcast_trial(
             make_cgcast, cg_outcome, environment=environment
         )
+        return _lowered(spec, ctx, idx, params, trial, _CGCAST_COLUMNS)
 
-        def reduce_cgcast(ctx, outcomes):
-            cg = outcomes["cgcast"]
-            diss = [d for ok, d, _ in cg if ok and d is not None]
-            metrics = {
-                "success": success_rate([ok for ok, _, _ in cg]),
-                "mean_dissemination": (
-                    summarize(diss).mean if diss else None
-                ),
-                "schedule_slots": cg[0][2],
-            }
-            return _filter_metrics(spec, params, metrics)
-
-        return LoweredPoint(
-            point=Point(
-                runs=[Run("cgcast", trial, label, ctx.seed)],
-                reduce=reduce_cgcast,
-            ),
-            params=params,
-            family="cgcast",
-        )
+    if "max_slots" in proto_params:
+        proto_params["max_slots"] = int(proto_params["max_slots"])
 
     if kind == "naive_discovery":
         nd_truth = net.true_neighbor_sets()
-        if "max_slots" in proto_params:
-            proto_params["max_slots"] = int(proto_params["max_slots"])
 
         def nd_trial(s, net=net, truth=nd_truth, params=proto_params):
             nd = NaiveDiscovery(
@@ -568,44 +618,23 @@ def _lower_point(
                 _discovered_fraction(result, truth),
             )
 
-        def reduce_nd(ctx, outcomes):
-            return _filter_metrics(
-                spec, params, _discovery_metrics(outcomes["naive_discovery"])
-            )
-
-        return LoweredPoint(
-            point=Point(
-                runs=[Run("naive_discovery", nd_trial, label, ctx.seed)],
-                reduce=reduce_nd,
-            ),
-            params=params,
-            family="discovery",
-        )
+        return _lowered(spec, ctx, idx, params, nd_trial, _DISCOVERY_COLUMNS)
 
     # naive_broadcast
+    if environment is not None:
+        raise HarnessError(
+            f"scenario {spec.name!r}: naive_broadcast has no "
+            "primary-user traffic model, but sweep point "
+            f"{idx} ({params}) has active interference; drop the "
+            "interference spec or sweep its activity at 0"
+        )
     source = int(proto_params.pop("source", 0))
 
-    def nb_trial(s, net=net, source=source):
-        result = NaiveBroadcast(net, source=source, seed=s).run()
+    def nb_trial(s, net=net, source=source, params=proto_params):
+        result = NaiveBroadcast(net, source=source, seed=s, **params).run()
         return result.success, result.completion_slot
 
-    def reduce_nb(ctx, outcomes):
-        nv = outcomes["naive_broadcast"]
-        done = [t for ok, t in nv if ok and t is not None]
-        metrics = {
-            "success": success_rate([ok for ok, _ in nv]),
-            "mean_completion": summarize(done).mean if done else None,
-        }
-        return _filter_metrics(spec, params, metrics)
-
-    return LoweredPoint(
-        point=Point(
-            runs=[Run("naive_broadcast", nb_trial, label, ctx.seed)],
-            reduce=reduce_nb,
-        ),
-        params=params,
-        family="broadcast",
-    )
+    return _lowered(spec, ctx, idx, params, nb_trial, _BROADCAST_COLUMNS)
 
 
 def lower_points(
@@ -615,11 +644,14 @@ def lower_points(
 
     Both execution paths lower through here (one :func:`_lower_point`
     call per sweep point), so they run identical workloads and differ
-    only in how outcomes aggregate.
+    only in how outcomes aggregate. Each point's ``metrics`` selection
+    and precision targets are checked against its columns as it
+    lowers, so a bad name fails before any trial runs.
 
     Raises:
         HarnessError: for plan-based specs, which have no declarative
-            lowering.
+            lowering; for a requested metric no column provides; for a
+            precision target that is not a rate or mean column.
     """
     if spec.plan is not None:
         raise HarnessError(
@@ -628,5 +660,7 @@ def lower_points(
         )
     points = spec.sweep.points() if spec.sweep is not None else [{}]
     for idx, params in enumerate(points):
-        yield _lower_point(spec, ctx, idx, params)
+        lowered = _lower_point(spec, ctx, idx, params)
+        _check_columns(spec, lowered.columns)
+        yield lowered
 

@@ -511,7 +511,10 @@ class ProtocolSpec:
     ``cseek`` accepts ``part1_steps``/``part2_steps``/``part2_listener``;
     ``ckseek`` additionally requires ``khat`` (``delta_khat`` defaults to
     the realized good-degree bound); ``cgcast``/``naive_broadcast``
-    accept ``source``; ``count`` takes ``m`` (broadcaster count,
+    accept ``source``; the naive baselines pass the rest (e.g.
+    ``max_slots``) to their constructors, and ``naive_broadcast``,
+    which has no traffic model, rejects points with active
+    interference; ``count`` takes ``m`` (broadcaster count,
     required), ``max_count``, ``log_n``, ``rule`` and ``round_slots``.
     """
 

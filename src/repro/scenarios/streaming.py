@@ -23,10 +23,14 @@ streaming executor's schedule
 together; otherwise each point's chunk goes through the inner executor.
 
 Both paths share one lowering (:func:`repro.scenarios.compile.
-lower_points`): the same trial closures, seeds and seed-stream labels,
-so trial ``i`` of a streaming run is bit-identical to trial ``i`` of a
-fixed run — only the aggregation differs (exactly for counts, means and
-extrema; via the P² sketch for the median-family columns).
+lower_points`): the same trial closures, seeds and seed-stream labels
+and the same metric :class:`~repro.scenarios.compile.Column` tuple, so
+trial ``i`` of a streaming run is bit-identical to trial ``i`` of a
+fixed run — only the aggregation differs. Rate, constant and
+first-outcome columns are exact; mean columns are exact within one
+chunk and agree up to floating-point rounding across chunks; median
+columns come from the P² sketch, exact below five values and without
+an error bound beyond that.
 
 Each streamed row carries, beyond the fixed path's columns: ``trials``
 (how many the point actually ran), ``converged`` (whether every target
@@ -37,7 +41,8 @@ record as achieved precision.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Dict, Optional, Sequence
 
 from repro import obs
 from repro.analysis.stats import (
@@ -50,45 +55,86 @@ from repro.harness.executor import Executor, StreamingExecutor, get_executor
 from repro.harness.runner import ExperimentTable
 from repro.model.errors import HarnessError
 from repro.scenarios.compile import (
+    TARGETABLE_KINDS,
+    Column,
     LoweredPoint,
     RunContext,
     _execute,
-    _filter_metrics,
+    _point_row,
     lower_points,
 )
 from repro.scenarios.spec import PrecisionSpec, ScenarioSpec
 from repro.sim.rng import RngHub
 
-__all__ = ["PointAccumulator", "make_accumulator", "stream_scenario_spec"]
+__all__ = ["PointAccumulator", "stream_scenario_spec"]
 
 Row = Dict[str, object]
 Jobs = "int | str | Executor | None"
 
 
 class PointAccumulator:
-    """Online metric state for one sweep point.
+    """Online fold of one sweep point's metric columns.
 
-    Subclasses mirror one reducer family from
-    :mod:`repro.scenarios.compile`: :meth:`consume` folds a chunk of
-    trial outcomes in, :meth:`metrics` reports the family's columns
-    (same names, same order as the fixed path), and :meth:`halfwidth`
-    gives the achieved CI half-width for any targetable metric.
+    Folds the same :class:`~repro.scenarios.compile.Column` tuple the
+    fixed path's :func:`~repro.scenarios.compile.fold_columns` reduces:
+    rate columns into a :class:`StreamingRate`, mean columns into
+    :class:`StreamingMoments`, median columns into a
+    :class:`P2Quantile`; ``first`` keeps the first outcome's pick and
+    ``const`` its value. :meth:`metrics` reports the columns in order,
+    and :meth:`halfwidth` the achieved CI half-width of a rate or mean
+    column.
     """
 
-    #: metric name -> "rate" (Wilson interval) or "mean" (t interval).
-    targetable: Dict[str, str] = {}
-
-    def __init__(self, lowered: LoweredPoint) -> None:
-        self.static = dict(lowered.static)
+    def __init__(self, columns: Sequence[Column]) -> None:
+        self.columns = tuple(columns)
         self.count = 0
+        #: Column name -> kind, for the CI-targetable columns.
+        self.targetable = {
+            col.name: col.kind
+            for col in self.columns
+            if col.kind in TARGETABLE_KINDS
+        }
+        self._state: Dict[str, object] = {}
+        for col in self.columns:
+            if col.kind == "rate":
+                self._state[col.name] = StreamingRate()
+            elif col.kind == "mean":
+                self._state[col.name] = StreamingMoments()
+            elif col.kind == "median":
+                self._state[col.name] = P2Quantile(0.5)
 
     def consume(self, outcomes: list) -> None:
         """Fold one chunk of trial outcomes into the accumulator."""
-        raise NotImplementedError
+        first_chunk = self.count == 0
+        self.count += len(outcomes)
+        for col in self.columns:
+            if col.kind == "const":
+                continue
+            if col.kind == "first":
+                if first_chunk:
+                    self._state[col.name] = col.pick(outcomes[0])
+                continue
+            picks = [col.pick(o) for o in outcomes]
+            if col.kind == "mean":
+                picks = [p for p in picks if p is not None]
+            self._state[col.name].update(picks)
 
     def metrics(self) -> Row:
         """The point's metric columns (fixed-path names and order)."""
-        raise NotImplementedError
+        row: Row = {}
+        for col in self.columns:
+            state = self._state.get(col.name)
+            if col.kind == "const":
+                row[col.name] = col.value
+            elif col.kind == "first":
+                row[col.name] = state
+            elif col.kind == "rate":
+                row[col.name] = state.rate()
+            elif col.kind == "mean":
+                row[col.name] = state.mean if state.count else None
+            else:
+                row[col.name] = state.value()
+        return row
 
     def halfwidth(self, metric: str, confidence: float) -> float:
         """Achieved CI half-width for a targetable metric.
@@ -97,7 +143,8 @@ class PointAccumulator:
         outcomes, or a conditional mean with fewer than two samples).
 
         Raises:
-            HarnessError: for a metric this family cannot target.
+            HarnessError: for a metric that is not a rate or mean
+                column.
         """
         kind = self.targetable.get(metric)
         if kind is None:
@@ -105,191 +152,10 @@ class PointAccumulator:
                 f"metric {metric!r} is not CI-targetable here; "
                 f"targetable: {', '.join(sorted(self.targetable))}"
             )
+        state = self._state[metric]
         if kind == "rate":
-            return self._rate(metric).halfwidth(confidence)
-        moments = self._moments(metric)
-        return mean_halfwidth(moments.count, moments.std, confidence)
-
-    def _rate(self, metric: str) -> StreamingRate:
-        raise NotImplementedError
-
-    def _moments(self, metric: str) -> StreamingMoments:
-        raise NotImplementedError
-
-
-class CountAccumulator(PointAccumulator):
-    """COUNT estimates: ``median_ratio`` / ``band_rate`` / ``slots``.
-
-    ``band_rate`` (the fraction of estimates within a factor 4 of the
-    true broadcaster count) is the targetable rate; ``median_ratio``
-    is a median and therefore reported via the P² sketch but never
-    targeted.
-    """
-
-    targetable = {"band_rate": "rate"}
-
-    def __init__(self, lowered: LoweredPoint) -> None:
-        super().__init__(lowered)
-        self._m = float(lowered.context["m"])
-        self._ratio = P2Quantile(0.5)
-        self._band = StreamingRate()
-
-    def consume(self, outcomes: list) -> None:
-        m = self._m
-        self.count += len(outcomes)
-        self._ratio.update([e / m for e in outcomes])
-        self._band.update([m / 4 <= e <= 4 * m for e in outcomes])
-
-    def metrics(self) -> Row:
-        return {
-            "median_ratio": self._ratio.value(),
-            "band_rate": self._band.rate(),
-            "slots": self.static["slots"],
-        }
-
-    def _rate(self, metric: str) -> StreamingRate:
-        return self._band
-
-
-class DiscoveryAccumulator(PointAccumulator):
-    """Discovery outcomes ``(ok, completion, total_slots, fraction)``.
-
-    Covers cseek, ckseek and naive_discovery; static columns
-    (``khat``/``delta_khat``) pass through ahead of the metrics, as in
-    the fixed reducer.
-    """
-
-    targetable = {
-        "success": "rate",
-        "discovered_fraction": "mean",
-        "mean_completion": "mean",
-    }
-
-    def __init__(self, lowered: LoweredPoint) -> None:
-        super().__init__(lowered)
-        self._success = StreamingRate()
-        self._fraction = StreamingMoments()
-        self._completion = StreamingMoments()
-        self._slots: Optional[object] = None
-
-    def consume(self, outcomes: list) -> None:
-        self.count += len(outcomes)
-        if self._slots is None and outcomes:
-            self._slots = outcomes[0][2]
-        self._success.update([ok for ok, _, _, _ in outcomes])
-        self._fraction.update([f for _, _, _, f in outcomes])
-        self._completion.update(
-            [t for ok, t, _, _ in outcomes if ok and t is not None]
-        )
-
-    def metrics(self) -> Row:
-        return {
-            **self.static,
-            "success": self._success.rate(),
-            "discovered_fraction": self._fraction.mean,
-            "mean_completion": (
-                self._completion.mean if self._completion.count else None
-            ),
-            "schedule_slots": self._slots,
-        }
-
-    def _rate(self, metric: str) -> StreamingRate:
-        return self._success
-
-    def _moments(self, metric: str) -> StreamingMoments:
-        if metric == "discovered_fraction":
-            return self._fraction
-        return self._completion
-
-
-class CGCastAccumulator(PointAccumulator):
-    """CGCAST outcomes ``(ok, dissemination, total_slots)``."""
-
-    targetable = {"success": "rate", "mean_dissemination": "mean"}
-
-    def __init__(self, lowered: LoweredPoint) -> None:
-        super().__init__(lowered)
-        self._success = StreamingRate()
-        self._dissemination = StreamingMoments()
-        self._slots: Optional[object] = None
-
-    def consume(self, outcomes: list) -> None:
-        self.count += len(outcomes)
-        if self._slots is None and outcomes:
-            self._slots = outcomes[0][2]
-        self._success.update([ok for ok, _, _ in outcomes])
-        self._dissemination.update(
-            [d for ok, d, _ in outcomes if ok and d is not None]
-        )
-
-    def metrics(self) -> Row:
-        return {
-            "success": self._success.rate(),
-            "mean_dissemination": (
-                self._dissemination.mean
-                if self._dissemination.count
-                else None
-            ),
-            "schedule_slots": self._slots,
-        }
-
-    def _rate(self, metric: str) -> StreamingRate:
-        return self._success
-
-    def _moments(self, metric: str) -> StreamingMoments:
-        return self._dissemination
-
-
-class BroadcastAccumulator(PointAccumulator):
-    """Naive-broadcast outcomes ``(ok, completion_slot)``."""
-
-    targetable = {"success": "rate", "mean_completion": "mean"}
-
-    def __init__(self, lowered: LoweredPoint) -> None:
-        super().__init__(lowered)
-        self._success = StreamingRate()
-        self._completion = StreamingMoments()
-
-    def consume(self, outcomes: list) -> None:
-        self.count += len(outcomes)
-        self._success.update([ok for ok, _ in outcomes])
-        self._completion.update(
-            [t for ok, t in outcomes if ok and t is not None]
-        )
-
-    def metrics(self) -> Row:
-        return {
-            "success": self._success.rate(),
-            "mean_completion": (
-                self._completion.mean if self._completion.count else None
-            ),
-        }
-
-    def _rate(self, metric: str) -> StreamingRate:
-        return self._success
-
-    def _moments(self, metric: str) -> StreamingMoments:
-        return self._completion
-
-
-_FAMILIES = {
-    "count": CountAccumulator,
-    "discovery": DiscoveryAccumulator,
-    "cgcast": CGCastAccumulator,
-    "broadcast": BroadcastAccumulator,
-}
-
-
-def make_accumulator(lowered: LoweredPoint) -> PointAccumulator:
-    """The accumulator matching a lowered point's metric family."""
-    try:
-        cls = _FAMILIES[lowered.family]
-    except KeyError:
-        raise HarnessError(
-            f"no streaming accumulator for metric family "
-            f"{lowered.family!r}"
-        ) from None
-    return cls(lowered)
+            return state.halfwidth(confidence)
+        return mean_halfwidth(state.count, state.std, confidence)
 
 
 #: First chunk size of the scenario streaming path; chunks double per
@@ -337,22 +203,6 @@ def _streaming_executor(
     return streaming
 
 
-def _validate_targets(
-    spec: ScenarioSpec,
-    precision: PrecisionSpec,
-    acc: PointAccumulator,
-    lowered: LoweredPoint,
-) -> None:
-    for metric in precision.targets:
-        if metric not in acc.targetable:
-            raise HarnessError(
-                f"scenario {spec.name!r}: precision target "
-                f"{metric!r} is not CI-targetable for protocol "
-                f"family {lowered.family!r}; targetable: "
-                f"{', '.join(sorted(acc.targetable)) or 'none'}"
-            )
-
-
 def _targets_met(acc: PointAccumulator, precision: PrecisionSpec) -> bool:
     return all(
         acc.halfwidth(metric, precision.confidence) <= target
@@ -373,7 +223,7 @@ def _finish_row(
     lowered: LoweredPoint,
     acc: PointAccumulator,
 ) -> Row:
-    row = _filter_metrics(spec, lowered.params, acc.metrics())[0]
+    row = _point_row(spec, lowered.params, acc.metrics())
     row["trials"] = acc.count
     row["converged"] = _targets_met(acc, precision)
     for metric in precision.targets:
@@ -406,10 +256,12 @@ def stream_scenario_spec(
 
     Raises:
         HarnessError: when no precision contract is available, the spec
-            is plan-based, or a target names a metric its protocol
-            family cannot CI-target.
+            is plan-based, or a target names a metric that is not a
+            rate or mean column of its protocol.
     """
-    precision = precision if precision is not None else spec.precision
+    if precision is not None:
+        spec = replace(spec, precision=precision)
+    precision = spec.precision
     if precision is None:
         raise HarnessError(
             f"scenario {spec.name!r} has no precision contract; set one "
@@ -419,9 +271,7 @@ def stream_scenario_spec(
     executor = _streaming_executor(jobs, precision)
     ctx = RunContext(trials=precision.max_trials, seed=seed)
     lowered = list(lower_points(spec, ctx))
-    accs = [make_accumulator(lp) for lp in lowered]
-    for lp, acc in zip(lowered, accs):
-        _validate_targets(spec, precision, acc, lp)
+    accs = [PointAccumulator(lp.columns) for lp in lowered]
     runs = [lp.point.runs[0] for lp in lowered]
     streams = [RngHub(run.seed).seed_stream(name=run.label) for run in runs]
     active = list(range(len(lowered)))

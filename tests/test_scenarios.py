@@ -517,6 +517,29 @@ class TestDeclarativeExecution:
             assert table.rows and "success" in table.rows[0]
 
 
+    def test_naive_broadcast_passes_its_params(self):
+        # A one-slot schedule cannot inform a 4-node path from one end.
+        spec = ScenarioSpec(
+            name="tiny-naive-broadcast",
+            title="tiny",
+            trials=2,
+            topology=TopologySpec("path", {"n": 4}),
+            assignment=AssignmentSpec(kind="exact_uniform", c=6, k=2),
+            protocol=ProtocolSpec("naive_broadcast", {"max_slots": 1}),
+        )
+        row = run_scenario(spec, seed=1).rows[0]
+        assert row["success"] == 0.0
+        assert row["mean_completion"] is None
+
+    def test_naive_broadcast_rejects_active_interference(self):
+        spec = tiny_cseek_spec(protocol=ProtocolSpec("naive_broadcast"))
+        with pytest.raises(HarnessError, match="no primary-user traffic"):
+            run_scenario(spec, seed=1)
+        # Zero activity lowers to no environment, which it can run.
+        quiet = apply_overrides(spec, {"sweep.axes.activity": "[0.0]"})
+        assert run_scenario(quiet, seed=1).rows[0]["success"] == 1.0
+
+
 class TestScenarioCache:
     def test_cache_key_extra_separates_entries(self):
         base = cache_key("X", 3, 0)

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis import (
     P2Quantile,
     StreamingMoments,
@@ -34,12 +35,16 @@ from repro.harness import (
 )
 from repro.model import HarnessError
 from repro.scenarios import (
+    AssignmentSpec,
+    InterferenceSpec,
     PrecisionSpec,
     ProtocolSpec,
     ScenarioSpec,
     SweepSpec,
+    TopologySpec,
     apply_overrides,
     paper_spec,
+    resolve_scenario,
     run_scenario,
     run_scenario_spec,
     spec_digest,
@@ -321,6 +326,35 @@ def tiny_count_spec(**kwargs):
     return ScenarioSpec(**base)
 
 
+def tiny_protocol_spec(kind):
+    """A two-point spec of each protocol kind, small enough to stream."""
+    if kind == "count":
+        return tiny_count_spec()
+    params = {
+        "ckseek": {"khat": 2},
+        "naive_discovery": {"max_slots": 500},
+        "naive_broadcast": {"max_slots": "$slots"},
+    }.get(kind, {})
+    if kind == "naive_broadcast":
+        # No traffic model: sweep the schedule length instead.
+        axes, interference = {"slots": [6, 60]}, None
+    else:
+        axes = {"activity": [0.0, 0.7]}
+        interference = InterferenceSpec(
+            activity="$activity", mean_dwell=4.0
+        )
+    return ScenarioSpec(
+        name=f"tiny-stream-{kind}",
+        title=f"tiny streaming {kind}",
+        trials=8,
+        sweep=SweepSpec(axes=axes),
+        topology=TopologySpec("star", {"n": 5}),
+        assignment=AssignmentSpec(kind="global_core", c=6, k=2),
+        interference=interference,
+        protocol=ProtocolSpec(kind, params),
+    )
+
+
 def loose_precision(**kwargs):
     base = dict(
         targets={"band_rate": 0.5},
@@ -409,20 +443,59 @@ class TestStreamScenario:
             assert row["trials"] == 64
             assert row["converged"] is False
 
-    def test_rate_metrics_match_fixed_path_exactly(self):
-        spec = tiny_count_spec()
-        fixed = run_scenario_spec(spec, trials=64, seed=0)
-        streamed = stream_scenario_spec(
-            spec,
-            seed=0,
-            precision=loose_precision(
-                targets={"band_rate": 1e-6}, min_trials=64
-            ),
-        )
-        for fixed_row, streamed_row in zip(fixed.rows, streamed.rows):
-            assert streamed_row["band_rate"] == fixed_row["band_rate"]
-            assert streamed_row["slots"] == fixed_row["slots"]
-            assert streamed_row["m"] == fixed_row["m"]
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "count",
+            "cseek",
+            "ckseek",
+            "cgcast",
+            "naive_discovery",
+            "naive_broadcast",
+        ],
+    )
+    def test_rate_metrics_match_fixed_path_exactly(self, kind):
+        spec = tiny_protocol_spec(kind)
+        target = "band_rate" if kind == "count" else "success"
+
+        def both(trials, chunk):
+            fixed = run_scenario_spec(spec, trials=trials, seed=0)
+            streamed = stream_scenario_spec(
+                spec,
+                seed=0,
+                precision=PrecisionSpec(
+                    targets={target: 1e-6},
+                    min_trials=trials,
+                    max_trials=trials,
+                    chunk=chunk,
+                ),
+            )
+            return zip(fixed.rows, streamed.rows, strict=True)
+
+        # One chunk of <= 5 trials: P² is still exact and a one-chunk
+        # Welford mean is the array mean, so every column matches.
+        for fixed_row, streamed_row in both(5, 5):
+            assert streamed_row["trials"] == 5
+            for name, value in fixed_row.items():
+                assert streamed_row[name] == value, name
+        # Several chunks: rates, constants and first-outcome columns
+        # stay exact; means agree up to rounding.
+        means = {
+            "discovered_fraction",
+            "mean_completion",
+            "mean_dissemination",
+        }
+        for fixed_row, streamed_row in both(12, 3):
+            assert streamed_row["trials"] == 12
+            for name, value in fixed_row.items():
+                if name == "median_ratio":
+                    continue
+                if name in means and value is not None:
+                    assert streamed_row[name] == pytest.approx(
+                        value, rel=1e-12
+                    ), name
+                else:
+                    assert streamed_row[name] == value, name
 
     def test_rejects_untargetable_metric(self):
         with pytest.raises(HarnessError, match="median_ratio"):
@@ -430,6 +503,25 @@ class TestStreamScenario:
                 tiny_count_spec(),
                 precision=loose_precision(targets={"median_ratio": 0.1}),
             )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"metrics": '["band_rat"]'},
+            {
+                "metrics": '["band_rat"]',
+                "precision.targets.band_rate": "0.1",
+            },
+            {"precision.targets.median_ratio": "0.1"},
+        ],
+        ids=["metric-fixed", "metric-streamed", "untargetable"],
+    )
+    def test_bad_name_fails_before_any_trial(self, overrides):
+        spec = resolve_scenario("count-interference", overrides)
+        with obs.capture() as tel:
+            with pytest.raises(HarnessError, match="band_rat|median_ratio"):
+                run_scenario(spec, trials=4)
+        assert tel.counters.get("executor.trials", 0) == 0
 
     def test_requires_a_precision_contract(self):
         with pytest.raises(HarnessError, match="precision"):
