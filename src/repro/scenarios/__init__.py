@@ -5,10 +5,12 @@ Layering: :mod:`~repro.scenarios.spec` defines the composable
 x sweep x metrics) and its JSON form; :mod:`~repro.scenarios.trials`
 builds the trial closures (the home of ``run_batch`` generation,
 except E11's plan-level ``run_batch`` in :mod:`~repro.scenarios.paper`);
-:mod:`~repro.scenarios.compile` lowers specs into
-executable plans over the harness's executor layer;
-:mod:`~repro.scenarios.registry` names them.
-:mod:`~repro.scenarios.paper` registers E1-E12 and
+:mod:`~repro.scenarios.compile` defines each protocol kind's trial and
+metric columns once (``protocol_trial``), lowers specs into executable
+plans over the harness's executor layer and runs every plan through
+one sweep driver; :mod:`~repro.scenarios.registry` names them.
+:mod:`~repro.scenarios.paper` registers E1-E12 (whose protocol runs
+come from ``protocol_trial``) and
 :mod:`~repro.scenarios.stock` the non-paper workloads, so importing
 this package yields a fully populated registry.
 """

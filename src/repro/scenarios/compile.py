@@ -11,8 +11,8 @@ returns each run's outcomes. Under ``jobs="xbatch"`` it groups runs by
 cross-point signature into lockstep :func:`~repro.core.run_group`
 calls; every other run goes through the executor's ``run``. The
 fixed-trials path (:func:`run_scenario_spec`) calls it once per
-declarative sweep (once per point for the plan-based paper specs) and
-then reduces each point in sweep order; the streaming path
+scenario, declarative sweep or paper plan alike, and then reduces each
+point in sweep order; the streaming path
 (:mod:`repro.scenarios.streaming`) calls it once per round. Per-trial
 seeds derive before execution, so a scenario runs serially, on a
 process pool (``jobs=N``), vectorized over the trial axis
@@ -22,13 +22,14 @@ rows.
 Declarative specs are lowered here too: the topology and assignment
 specs build the network, the interference spec becomes a spectrum
 environment (:mod:`repro.sim.environment` — Markov, Poisson or static
-primary-user traffic), the protocol spec picks a trial factory from
-:mod:`repro.scenarios.trials` (the home of ``run_batch`` generation,
-apart from E11's plan-level ``run_batch`` in :mod:`repro.scenarios.paper`),
-and the protocol kind's :class:`Column` tuple defines its metric
-columns once for both the fixed reducer (:func:`fold_columns`) and the
-streaming accumulator. Plan-based specs (the paper experiments) skip
-the lowering and supply Points directly.
+primary-user traffic), and :func:`protocol_trial` turns the protocol
+kind and its params into one trial (built on the factories of
+:mod:`repro.scenarios.trials`) plus the kind's :class:`Column` tuple,
+which defines its metric columns once for both the fixed reducer
+(:func:`fold_columns`) and the streaming accumulator. Plan-based specs
+(the paper experiments) skip the lowering and supply Points directly,
+but take every protocol-kind run from :func:`protocol_trial` and fold
+its columns the same way.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from repro.core import (
 from repro.graphs import builders, topologies
 from repro.harness.executor import Executor, XBatchExecutor, get_executor
 from repro.harness.runner import ExperimentTable
-from repro.model.errors import HarnessError
+from repro.model.errors import HarnessError, ReproError
 from repro.model.spec import ceil_log2
 from repro.scenarios.spec import ScenarioSpec, resolve
 from repro.sim.rng import RngHub
@@ -75,6 +76,7 @@ __all__ = [
     "RunContext",
     "fold_columns",
     "lower_points",
+    "protocol_trial",
     "run_scenario_spec",
     "scenario_plan",
 ]
@@ -134,8 +136,7 @@ class LoweredPoint:
     reducer folds all outcomes with :func:`fold_columns`; the
     streaming path (:mod:`repro.scenarios.streaming`) runs the same
     ``point.runs[0]`` chunk by chunk and folds the same columns
-    online. Golden tables pin the paper experiments E1–E12, which are
-    plan-based and never lowered here.
+    online.
     """
 
     point: Point
@@ -165,30 +166,24 @@ def run_scenario_spec(
         jobs: Execution strategy (see
             :func:`repro.harness.executor.get_executor`); never changes
             rows, only wall-clock. ``jobs="xbatch"`` additionally
-            groups declarative sweep points with matching cross-point
-            signatures into single lockstep executions.
+            groups sweep points with matching cross-point signatures
+            into single lockstep executions.
     """
     executor = get_executor(jobs)
     ctx = RunContext(
         trials=trials if trials is not None else spec.trials, seed=seed
     )
-    # A declarative sweep executes as one batch of points, so xbatch
-    # can group across it; a paper plan goes one point at a time.
-    points = scenario_plan(spec, ctx)
-    batches = (
-        [list(points)] if spec.plan is None else ([p] for p in points)
-    )
+    # The whole sweep executes as one batch of points, so xbatch can
+    # group across it; each point then reduces in sweep order.
+    points = list(scenario_plan(spec, ctx))
+    runs = [run for point in points for run in point.runs]
+    seed_lists = [_trial_seeds(run, ctx) for run in runs]
+    outcomes = iter(_execute(runs, seed_lists, executor))
     rows: List[Row] = []
-    for batch in batches:
-        runs = [run for point in batch for run in point.runs]
-        seed_lists = [_trial_seeds(run, ctx) for run in runs]
-        outcomes = iter(_execute(runs, seed_lists, executor))
-        for point in batch:
-            rows.extend(
-                point.reduce(
-                    ctx, {run.key: next(outcomes) for run in point.runs}
-                )
-            )
+    for point in points:
+        rows.extend(
+            point.reduce(ctx, {run.key: next(outcomes) for run in point.runs})
+        )
     notes = spec.notes(rows, ctx) if callable(spec.notes) else spec.notes
     return ExperimentTable(
         experiment_id=spec.table_id,
@@ -445,52 +440,58 @@ _BROADCAST_COLUMNS = (
 )
 
 
-def _lowered(
-    spec: ScenarioSpec,
-    ctx: RunContext,
-    idx: int,
+def protocol_trial(
+    kind: str,
     params: Row,
-    trial: Callable[[int], object],
-    columns: Sequence[Column],
-) -> LoweredPoint:
-    """A sweep point of one run whose row is ``params`` + ``columns``."""
-    key = spec.protocol.kind
+    net=None,
+    environment: Optional[SpectrumEnvironment] = None,
+) -> Tuple[Callable[[int], object], Tuple[Column, ...]]:
+    """One trial of a protocol kind and the metric columns it reports.
 
-    def reduce(ctx, outcomes):
-        return [_point_row(spec, params, fold_columns(columns, outcomes[key]))]
+    The only definition of what a trial of each protocol kind runs,
+    returns and reports: declarative sweep points (:func:`_lower_point`)
+    and the paper experiments (:mod:`repro.scenarios.paper`) both take
+    their runs here and fold the outcomes with :func:`fold_columns`.
+    The seed-0 protocol is built before this returns (for
+    ``cseek``/``ckseek``/``cgcast`` it is the one the trial's
+    ``xbatch`` descriptor runs), so invalid params raise before any
+    trial runs.
 
-    return LoweredPoint(
-        point=Point(
-            runs=[Run(key, trial, f"{spec.name}[{idx}]", ctx.seed)],
-            reduce=reduce,
-        ),
-        params=params,
-        columns=tuple(columns),
-    )
+    Args:
+        kind: ``count``, ``cseek``, ``ckseek``, ``cgcast``,
+            ``naive_discovery`` or ``naive_broadcast``.
+        params: The kind's resolved protocol params.
+        net: The network (every kind but ``count``).
+        environment: Primary-user traffic, or None for none.
 
-
-def _lower_point(
-    spec: ScenarioSpec, ctx: RunContext, idx: int, params: Row
-) -> LoweredPoint:
-    scope: Dict[str, object] = dict(params)
-    scope.update(seed=ctx.seed, point=idx, pseed=ctx.seed + idx)
-    kind = spec.protocol.kind
-    proto_params = dict(resolve(dict(spec.protocol.params), scope))
+    Raises:
+        HarnessError: for a missing or invalid ``count``/``ckseek``
+            param, or ``naive_broadcast`` with active interference.
+        ProtocolError / TypeError: from the protocol's constructor, for
+            an invalid value or an unknown param.
+    """
+    params = dict(params)
 
     if kind == "count":
-        if "m" not in proto_params:
+        unknown = set(params) - {
+            "m", "max_count", "log_n", "rule", "round_slots"
+        }
+        if unknown:
             raise HarnessError(
-                f"scenario {spec.name!r}: count protocol needs an 'm' "
-                "parameter (broadcaster count)"
+                f"count protocol has no params {sorted(unknown)}"
             )
-        m = int(proto_params["m"])
-        max_count = int(proto_params.get("max_count", m))
-        log_n = int(proto_params.get("log_n", ceil_log2(m + 1)))
-        consts_kwargs = {"count_rule": proto_params.get("rule", "argmax")}
-        if "round_slots" in proto_params:
-            consts_kwargs["count_round_slots"] = float(
-                proto_params["round_slots"]
+        if "m" not in params:
+            raise HarnessError(
+                "count protocol needs an 'm' parameter (broadcaster count)"
             )
+        m = int(params["m"])
+        if m < 1:
+            raise HarnessError(f"count protocol needs m >= 1, got {m}")
+        max_count = int(params.get("max_count", m))
+        log_n = int(params.get("log_n", ceil_log2(m + 1)))
+        consts_kwargs = {"count_rule": params.get("rule", "argmax")}
+        if "round_slots" in params:
+            consts_kwargs["count_round_slots"] = float(params["round_slots"])
         constants = ProtocolConstants(**consts_kwargs)
         adj, channels, tx_role = broadcaster_star(m)
         trial = count_trial(
@@ -501,54 +502,33 @@ def _lower_point(
             log_n=log_n,
             constants=constants,
             postprocess=lambda est: float(est[0]),
-            environment=_environment(spec, scope, [0]),
+            environment=environment,
         )
         rounds, length = count_schedule(max_count, log_n, constants)
         # Lemma 1's factor-4 band around the true broadcaster count.
-        return _lowered(
-            spec,
-            ctx,
-            idx,
-            params,
-            trial,
-            (
-                Column("median_ratio", "median", lambda e: e / m),
-                Column("band_rate", "rate", lambda e: m / 4 <= e <= 4 * m),
-                Column("slots", "const", value=rounds * length),
-            ),
+        return trial, (
+            Column("median_ratio", "median", lambda e: e / m),
+            Column("band_rate", "rate", lambda e: m / 4 <= e <= 4 * m),
+            Column("slots", "const", value=rounds * length),
         )
-
-    net = _build_net(spec, scope)
-    environment = _environment(
-        spec, scope, sorted(net.assignment.universe())
-    )
 
     if kind in ("cseek", "ckseek"):
         if kind == "ckseek":
-            if "khat" not in proto_params:
-                raise HarnessError(
-                    f"scenario {spec.name!r}: ckseek needs a 'khat' "
-                    "parameter"
-                )
-            khat = int(proto_params.pop("khat"))
-            delta_khat = proto_params.pop("delta_khat", "auto")
+            if "khat" not in params:
+                raise HarnessError("ckseek needs a 'khat' parameter")
+            khat = int(params.pop("khat"))
+            delta_khat = params.pop("delta_khat", "auto")
             if delta_khat == "auto":
                 delta_khat = net.max_good_degree(khat)
             truth = net.good_neighbor_sets(khat)
 
-            def make_protocol(s, net=net, khat=khat, dk=delta_khat):
+            def make_protocol(s):
                 return CKSeek(
-                    net, khat=khat, delta_khat=dk, seed=s, **proto_params
+                    net, khat=khat, delta_khat=delta_khat, seed=s, **params
                 )
 
-            def postprocess(result, net=net, khat=khat, truth=truth):
-                report = verify_k_discovery(result, net, khat=khat)
-                return (
-                    report.success,
-                    report.completion_slot,
-                    result.total_slots,
-                    _discovered_fraction(result, truth),
-                )
+            def verify(result):
+                return verify_k_discovery(result, net, khat=khat)
 
             columns = (
                 Column("khat", "const", value=khat),
@@ -558,33 +538,36 @@ def _lower_point(
         else:
             truth = net.true_neighbor_sets()
 
-            def make_protocol(s, net=net):
-                return CSeek(net, seed=s, **proto_params)
+            def make_protocol(s):
+                return CSeek(net, seed=s, **params)
 
-            def postprocess(result, net=net, truth=truth):
-                report = verify_discovery(result, net)
-                return (
-                    report.success,
-                    report.completion_slot,
-                    result.total_slots,
-                    _discovered_fraction(result, truth),
-                )
+            def verify(result):
+                return verify_discovery(result, net)
 
             columns = _DISCOVERY_COLUMNS
+
+        def postprocess(result):
+            report = verify(result)
+            return (
+                report.success,
+                report.completion_slot,
+                result.total_slots,
+                _discovered_fraction(result, truth),
+            )
+
         trial = cseek_trial(
             make_protocol, postprocess, environment=environment
         )
-        return _lowered(spec, ctx, idx, params, trial, columns)
+        trial.xbatch.batch  # builds (and validates) the seed-0 protocol
+        return trial, columns
 
     if kind == "cgcast":
-        source = int(proto_params.pop("source", 0))
+        source = int(params.pop("source", 0))
 
-        def make_cgcast(
-            s, discovery=None, net=net, source=source, env=environment
-        ):
+        def make_cgcast(s, discovery=None):
             return CGCast(
                 net, source=source, seed=s, discovery=discovery,
-                environment=env, **proto_params,
+                environment=environment, **params,
             )
 
         def cg_outcome(result):
@@ -597,15 +580,17 @@ def _lower_point(
         trial = cgcast_trial(
             make_cgcast, cg_outcome, environment=environment
         )
-        return _lowered(spec, ctx, idx, params, trial, _CGCAST_COLUMNS)
+        trial.xbatch.batch  # builds (and validates) the seed-0 protocol
+        return trial, _CGCAST_COLUMNS
 
-    if "max_slots" in proto_params:
-        proto_params["max_slots"] = int(proto_params["max_slots"])
+    if "max_slots" in params:
+        params["max_slots"] = int(params["max_slots"])
 
     if kind == "naive_discovery":
-        nd_truth = net.true_neighbor_sets()
+        truth = net.true_neighbor_sets()
+        NaiveDiscovery(net, seed=0, environment=environment, **params)
 
-        def nd_trial(s, net=net, truth=nd_truth, params=proto_params):
+        def nd_trial(s):
             nd = NaiveDiscovery(
                 net, seed=s, environment=environment, **params
             )
@@ -618,23 +603,63 @@ def _lower_point(
                 _discovered_fraction(result, truth),
             )
 
-        return _lowered(spec, ctx, idx, params, nd_trial, _DISCOVERY_COLUMNS)
+        return nd_trial, _DISCOVERY_COLUMNS
 
     # naive_broadcast
     if environment is not None:
         raise HarnessError(
-            f"scenario {spec.name!r}: naive_broadcast has no "
-            "primary-user traffic model, but sweep point "
-            f"{idx} ({params}) has active interference; drop the "
-            "interference spec or sweep its activity at 0"
+            "naive_broadcast has no primary-user traffic model, but this "
+            "point has active interference; drop the interference spec "
+            "or sweep its activity at 0"
         )
-    source = int(proto_params.pop("source", 0))
+    source = int(params.pop("source", 0))
+    NaiveBroadcast(net, source=source, seed=0, **params)
 
-    def nb_trial(s, net=net, source=source, params=proto_params):
+    def nb_trial(s):
         result = NaiveBroadcast(net, source=source, seed=s, **params).run()
         return result.success, result.completion_slot
 
-    return _lowered(spec, ctx, idx, params, nb_trial, _BROADCAST_COLUMNS)
+    return nb_trial, _BROADCAST_COLUMNS
+
+
+def _lower_point(
+    spec: ScenarioSpec, ctx: RunContext, idx: int, params: Row
+) -> LoweredPoint:
+    """One declarative sweep point: scope, network, environment, trial.
+
+    A protocol param that its kind rejects fails here, naming the
+    scenario and the sweep point, before any trial runs.
+    """
+    scope: Dict[str, object] = dict(params)
+    scope.update(seed=ctx.seed, point=idx, pseed=ctx.seed + idx)
+    kind = spec.protocol.kind
+    proto_params = dict(resolve(dict(spec.protocol.params), scope))
+    net = None if kind == "count" else _build_net(spec, scope)
+    environment = _environment(
+        spec,
+        scope,
+        [0] if net is None else sorted(net.assignment.universe()),
+    )
+    try:
+        trial, columns = protocol_trial(kind, proto_params, net, environment)
+    except (ReproError, TypeError, ValueError) as exc:
+        raise HarnessError(
+            f"scenario {spec.name!r}, sweep point {idx} {params}: "
+            f"invalid {kind} params: {exc}"
+        ) from exc
+
+    def reduce(ctx, outcomes):
+        metrics = fold_columns(columns, outcomes[kind])
+        return [_point_row(spec, params, metrics)]
+
+    return LoweredPoint(
+        point=Point(
+            runs=[Run(kind, trial, f"{spec.name}[{idx}]", ctx.seed)],
+            reduce=reduce,
+        ),
+        params=params,
+        columns=columns,
+    )
 
 
 def lower_points(
@@ -650,8 +675,9 @@ def lower_points(
 
     Raises:
         HarnessError: for plan-based specs, which have no declarative
-            lowering; for a requested metric no column provides; for a
-            precision target that is not a rate or mean column.
+            lowering; for a protocol param its kind rejects; for a
+            requested metric no column provides; for a precision target
+            that is not a rate or mean column.
     """
     if spec.plan is not None:
         raise HarnessError(

@@ -6,8 +6,16 @@ sequence. The plans preserve the original harness's per-point seeds,
 seed-stream labels and trial semantics exactly, so every regenerated
 table is row-identical to the pre-scenario implementation at a fixed
 ``(trials, seed)`` — pinned against golden tables in
-``tests/test_scenarios_paper.py``. Batched execution routes through the
-shared trial factories in :mod:`repro.scenarios.trials`.
+``tests/test_scenarios_paper.py``, column order included.
+
+Every COUNT, CSEEK, CKSEEK, CGCAST and naive-baseline run comes from
+:func:`~repro.scenarios.compile.protocol_trial`, the same trial and
+metric columns a declarative sweep point of that kind lowers to; a
+plan maps the folded columns (:func:`~repro.scenarios.compile.
+fold_columns`) to its table headers (``success`` -> ``cseek_success``).
+Only experiment-specific outcomes keep their own trial code: E3's
+part-one split, E5's coloring, E7/E8's hitting games, E10's per-class
+rates under starved budgets and E11's amortized broadcasts.
 
 The experiment *defaults* (trials per configuration) and the notes
 interpreting each table against the paper's claim live here too; run
@@ -17,9 +25,7 @@ one with ``run_scenario(paper_spec("E2"), ...)`` (the CLI's ``run``).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
     cgcast_bound,
@@ -36,23 +42,16 @@ from repro.analysis import (
 )
 from repro.baselines import (
     NaiveBroadcast,
-    NaiveDiscovery,
     broadcast_floor,
     tree_broadcast_floor,
 )
 from repro.core import (
-    CGCast,
     CGCastBatch,
-    CKSeek,
     CSeek,
     LineGraph,
     LubyEdgeColoring,
-    ProtocolConstants,
-    count_schedule,
     is_valid_edge_coloring,
     redisseminate_batch,
-    verify_discovery,
-    verify_k_discovery,
 )
 from repro.graphs import (
     build_network,
@@ -69,15 +68,17 @@ from repro.lowerbounds import (
     play,
 )
 from repro.model.errors import HarnessError
-from repro.scenarios.compile import Point, Run, RunContext
+from repro.scenarios.compile import (
+    Column,
+    Point,
+    Run,
+    RunContext,
+    fold_columns,
+    protocol_trial,
+)
 from repro.scenarios.registry import register
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.trials import (
-    broadcaster_star,
-    cgcast_trial,
-    count_trial,
-    cseek_trial,
-)
+from repro.scenarios.trials import cseek_trial
 from repro.sim import MarkovTraffic
 
 __all__ = ["PAPER_SPECS", "paper_spec"]
@@ -86,96 +87,126 @@ Row = Dict[str, object]
 
 
 # ----------------------------------------------------------------------
+# Protocol runs: one trial definition per protocol kind
+# ----------------------------------------------------------------------
+def _protocol_run(
+    key: str,
+    kind: str,
+    label: str,
+    seed: int,
+    net=None,
+    params: Optional[Row] = None,
+    environment=None,
+    trials: Optional[int] = None,
+) -> Tuple[Run, Tuple[Column, ...]]:
+    """A run of :func:`protocol_trial`'s ``kind`` trial, with its columns."""
+    trial, columns = protocol_trial(kind, params or {}, net, environment)
+    return Run(key, trial, label, seed, trials), columns
+
+
+def _protocol_point(
+    runs: Sequence[Tuple[Run, Tuple[Column, ...]]],
+    head: Row,
+    headers: Dict[str, Tuple[str, str]],
+    tail: Optional[Row] = None,
+) -> Point:
+    """A one-row point over protocol runs.
+
+    The row is ``head``, then each table header's ``(run key, column)``
+    folded over that run's outcomes, then ``tail``.
+    """
+    columns = {run.key: cols for run, cols in runs}
+
+    def reduce(ctx, outcomes) -> List[Row]:
+        folded = {
+            key: fold_columns(cols, outcomes[key])
+            for key, cols in columns.items()
+        }
+        picked = {h: folded[key][col] for h, (key, col) in headers.items()}
+        return [{**head, **picked, **(tail or {})}]
+
+    return Point([run for run, _ in runs], reduce)
+
+
+# ----------------------------------------------------------------------
 # E1 — COUNT accuracy (Lemma 1)
 # ----------------------------------------------------------------------
+_E1_HEADERS = {
+    "median_ratio": ("count", "median_ratio"),
+    "band_rate(est in [m/4,4m])": ("count", "band_rate"),
+    "slots": ("count", "slots"),
+}
+
+
 def _plan_e1(ctx: RunContext) -> Iterable[Point]:
-    rules = [
-        ("argmax", ProtocolConstants(count_rule="argmax", count_round_slots=8.0)),
-        (
-            "first_crossing",
-            ProtocolConstants(
-                count_rule="first_crossing", count_round_slots=192.0
-            ),
-        ),
-    ]
-    for rule_name, consts in rules:
+    for rule, round_slots in (("argmax", 8.0), ("first_crossing", 192.0)):
         for m in (1, 2, 4, 8, 16, 32):
-            adj, channels, tx_role = broadcaster_star(m)
-            trial = count_trial(
-                adj,
-                channels,
-                tx_role,
-                max_count=32,
-                log_n=5,
-                constants=consts,
-                postprocess=lambda est: float(est[0]),
-            )
-            rounds, length = count_schedule(32, 5, consts)
-
-            def reduce(
-                ctx, outcomes, rule_name=rule_name, m=m,
-                slots=rounds * length,
-            ) -> List[Row]:
-                estimates = outcomes["count"]
-                ratios = [e / m for e in estimates]
-                in_band = [m / 4 <= e <= 4 * m for e in estimates]
-                return [
-                    {
-                        "rule": rule_name,
-                        "m": m,
-                        "median_ratio": float(np.median(ratios)),
-                        "band_rate(est in [m/4,4m])": success_rate(in_band),
-                        "slots": slots,
-                    }
-                ]
-
-            yield Point(
-                [Run("count", trial, f"e1-{rule_name}-{m}", ctx.seed)],
-                reduce,
+            params = {
+                "m": m,
+                "max_count": 32,
+                "log_n": 5,
+                "rule": rule,
+                "round_slots": round_slots,
+            }
+            yield _protocol_point(
+                [
+                    _protocol_run(
+                        "count", "count", f"e1-{rule}-{m}", ctx.seed,
+                        params=params,
+                    )
+                ],
+                {"rule": rule, "m": m},
+                _E1_HEADERS,
             )
 
 
 # ----------------------------------------------------------------------
 # E2 — CSEEK scaling vs baselines (Theorem 4)
 # ----------------------------------------------------------------------
-def _discovery_runs(net, point_trials, seed, label) -> List[Run]:
-    """The paired CSEEK + naive runs every E2 sweep point executes."""
-
-    def summarize_result(result):
-        report = verify_discovery(result, net)
-        return report.success, report.completion_slot, result.total_slots
-
-    cseek = cseek_trial(lambda s: CSeek(net, seed=s), summarize_result)
-
-    def naive_trial(s: int):
-        nd = NaiveDiscovery(net, seed=s)
-        result = nd.run()
-        report = nd.verify(result)
-        return report.success, report.completion_slot, result.total_slots
-
-    return [
-        Run("cseek", cseek, f"{label}-cseek", seed, point_trials),
-        Run("naive", naive_trial, f"{label}-naive", seed, point_trials),
-    ]
+_E2_HEADERS = {
+    "cseek_success": ("cseek", "success"),
+    "naive_success": ("naive", "success"),
+    "cseek_completion": ("cseek", "mean_completion"),
+    "naive_completion": ("naive", "mean_completion"),
+    "cseek_schedule": ("cseek", "schedule_slots"),
+    "naive_schedule": ("naive", "schedule_slots"),
+}
 
 
-def _discovery_stats(outcomes) -> Row:
-    """Measured completion slots + success rates for CSEEK and naive."""
-    cs, nv = outcomes["cseek"], outcomes["naive"]
-    cs_done = [t for ok, t, _ in cs if ok and t is not None]
-    nv_done = [t for ok, t, _ in nv if ok and t is not None]
-    return {
-        "cseek_success": success_rate([ok for ok, _, _ in cs]),
-        "naive_success": success_rate([ok for ok, _, _ in nv]),
-        "cseek_completion": (
-            summarize(cs_done).mean if cs_done else None
-        ),
-        "naive_completion": (
-            summarize(nv_done).mean if nv_done else None
-        ),
-        "cseek_schedule": cs[0][2],
-        "naive_schedule": nv[0][2],
-    }
+def _discovery_point(
+    sweep: str, x: int, net, trials: int, seed: int, label: str,
+    polylog: bool = False,
+) -> Point:
+    """One E2 sweep point: paired CSEEK + naive runs, then the bounds.
+
+    ``polylog`` gives the bounds their lg n factors (the Delta sweep).
+    """
+    kn = net.knowledge()
+    n = kn.n if polylog else None
+    return _protocol_point(
+        [
+            _protocol_run(
+                "cseek", "cseek", f"{label}-cseek", seed, net, trials=trials
+            ),
+            _protocol_run(
+                "naive", "naive_discovery", f"{label}-naive", seed, net,
+                trials=trials,
+            ),
+        ],
+        {"sweep": sweep, "x": x},
+        _E2_HEADERS,
+        {
+            "cseek_bound": cseek_bound(
+                kn.c, kn.k, kn.kmax, kn.max_degree, n=n
+            ),
+            "naive_bound": naive_discovery_bound(
+                kn.c, kn.k, kn.max_degree, n=n
+            ),
+            "zeng_bound": zeng_discovery_bound(
+                kn.c, kn.k, kn.max_degree, n=n
+            ),
+        },
+    )
 
 
 def _plan_e2(ctx: RunContext) -> Iterable[Point]:
@@ -184,27 +215,7 @@ def _plan_e2(ctx: RunContext) -> Iterable[Point]:
     for c in (8, 12, 16, 20):
         graph = random_regular(20, 4, seed=seed + c)
         net = build_network(graph, c=c, k=2, seed=seed + c)
-        kn = net.knowledge()
-
-        def reduce(ctx, outcomes, c=c, kn=kn) -> List[Row]:
-            return [
-                {
-                    "sweep": "c",
-                    "x": c,
-                    **_discovery_stats(outcomes),
-                    "cseek_bound": cseek_bound(
-                        kn.c, kn.k, kn.kmax, kn.max_degree
-                    ),
-                    "naive_bound": naive_discovery_bound(
-                        kn.c, kn.k, kn.max_degree
-                    ),
-                    "zeng_bound": zeng_discovery_bound(
-                        kn.c, kn.k, kn.max_degree
-                    ),
-                }
-            ]
-
-        yield Point(_discovery_runs(net, trials, seed + c, f"e2c{c}"), reduce)
+        yield _discovery_point("c", c, net, trials, seed + c, f"e2c{c}")
     # --- (b) sweep Delta on crowded stars ---------------------------
     # Delta is the axis on which the bounds diverge (additive for CSEEK,
     # multiplicative for naive); the biggest point is capped at fewer
@@ -213,60 +224,20 @@ def _plan_e2(ctx: RunContext) -> Iterable[Point]:
         net = build_network(
             star(delta + 1), c=8, k=2, seed=seed + delta, kind="global_core"
         )
-        kn = net.knowledge()
-        point_trials = trials if delta < 128 else min(trials, 2)
-
-        def reduce(ctx, outcomes, delta=delta, kn=kn) -> List[Row]:
-            return [
-                {
-                    "sweep": "Delta",
-                    "x": delta,
-                    **_discovery_stats(outcomes),
-                    "cseek_bound": cseek_bound(
-                        kn.c, kn.k, kn.kmax, kn.max_degree, n=kn.n
-                    ),
-                    "naive_bound": naive_discovery_bound(
-                        kn.c, kn.k, kn.max_degree, n=kn.n
-                    ),
-                    "zeng_bound": zeng_discovery_bound(
-                        kn.c, kn.k, kn.max_degree, n=kn.n
-                    ),
-                }
-            ]
-
-        yield Point(
-            _discovery_runs(
-                net, point_trials, seed + 100 + delta, f"e2d{delta}"
-            ),
-            reduce,
+        yield _discovery_point(
+            "Delta",
+            delta,
+            net,
+            trials if delta < 128 else min(trials, 2),
+            seed + 100 + delta,
+            f"e2d{delta}",
+            polylog=True,
         )
     # --- (c) sweep k with c fixed -----------------------------------
     for k in (1, 2, 4):
         graph = random_regular(20, 4, seed=seed + 7)
         net = build_network(graph, c=16, k=k, seed=seed + k)
-        kn = net.knowledge()
-
-        def reduce(ctx, outcomes, k=k, kn=kn) -> List[Row]:
-            return [
-                {
-                    "sweep": "k",
-                    "x": k,
-                    **_discovery_stats(outcomes),
-                    "cseek_bound": cseek_bound(
-                        kn.c, kn.k, kn.kmax, kn.max_degree
-                    ),
-                    "naive_bound": naive_discovery_bound(
-                        kn.c, kn.k, kn.max_degree
-                    ),
-                    "zeng_bound": zeng_discovery_bound(
-                        kn.c, kn.k, kn.max_degree
-                    ),
-                }
-            ]
-
-        yield Point(
-            _discovery_runs(net, trials, seed + 200 + k, f"e2k{k}"), reduce
-        )
+        yield _discovery_point("k", k, net, trials, seed + 200 + k, f"e2k{k}")
 
 
 def _notes_e2(rows: List[Row], ctx: RunContext) -> str:
@@ -423,6 +394,14 @@ def _plan_e3(ctx: RunContext) -> Iterable[Point]:
 # ----------------------------------------------------------------------
 # E4 — CKSEEK filter (Theorem 6)
 # ----------------------------------------------------------------------
+_E4_HEADERS = {
+    "khat": ("ckseek", "khat"),
+    "delta_khat": ("ckseek", "delta_khat"),
+    "success": ("ckseek", "success"),
+    "schedule_slots": ("ckseek", "schedule_slots"),
+}
+
+
 def _plan_e4(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     graph = random_regular(20, 4, seed=seed + 3)
@@ -432,33 +411,12 @@ def _plan_e4(ctx: RunContext) -> Iterable[Point]:
     kn = net.knowledge()
     for khat in range(kn.k, kn.kmax + 1):
         delta_khat = net.max_good_degree(khat)
-        trial = cseek_trial(
-            lambda s, khat=khat, delta_khat=delta_khat: CKSeek(
-                net, khat=khat, delta_khat=delta_khat, seed=s
-            ),
-            lambda result, khat=khat: (
-                verify_k_discovery(result, net, khat=khat).success,
-                result.total_slots,
-            ),
+        run = _protocol_run(
+            "ckseek", "ckseek", f"e4-{khat}", seed + khat, net,
+            params={"khat": khat, "delta_khat": delta_khat},
         )
-
-        def reduce(ctx, outcomes, khat=khat, delta_khat=delta_khat):
-            results = outcomes["ckseek"]
-            return [
-                {
-                    "khat": khat,
-                    "delta_khat": delta_khat,
-                    "success": success_rate([ok for ok, _ in results]),
-                    "schedule_slots": results[0][1],
-                    "bound": ckseek_bound(
-                        kn.c, khat, kn.kmax, delta_khat, kn.max_degree
-                    ),
-                }
-            ]
-
-        yield Point(
-            [Run("ckseek", trial, f"e4-{khat}", seed + khat)], reduce
-        )
+        bound = ckseek_bound(kn.c, khat, kn.kmax, delta_khat, kn.max_degree)
+        yield _protocol_point([run], {}, _E4_HEADERS, {"bound": bound})
 
 
 # ----------------------------------------------------------------------
@@ -513,48 +471,44 @@ def _notes_e5(rows: List[Row], ctx: RunContext) -> str:
 # ----------------------------------------------------------------------
 # E6 — CGCAST scaling vs naive broadcast (Theorem 9)
 # ----------------------------------------------------------------------
+def _broadcast_runs(
+    net, label: str, seed: int
+) -> List[Tuple[Run, Tuple[Column, ...]]]:
+    """E6/E9's paired runs: CGCAST and naive broadcast from node 0."""
+    return [
+        _protocol_run("cg", "cgcast", f"{label}cg", seed, net),
+        _protocol_run("nv", "naive_broadcast", f"{label}nv", seed, net),
+    ]
+
+
 def _plan_e6(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     for num_cliques in (2, 4, 8, 12):
         graph = path_of_cliques(num_cliques, 4)
         net = build_network(graph, c=8, k=1, seed=seed + num_cliques)
         kn = net.knowledge()
+        runs = _broadcast_runs(net, "e6", seed + num_cliques)
+        columns = {run.key: cols for run, cols in runs}
 
-        cg = cgcast_trial(
-            lambda s, discovery=None, net=net: CGCast(
-                net, source=0, seed=s, discovery=discovery
-            ),
-            lambda result: (
-                result.success,
-                result.ledger.get("dissemination"),
-                result.total_slots,
-            ),
-        )
-
-        def nv_trial(s: int, net=net):
-            result = NaiveBroadcast(net, source=0, seed=s).run()
-            return result.success, result.completion_slot
-
-        def reduce(ctx, outcomes, num_cliques=num_cliques, kn=kn):
-            cg_out, nv_out = outcomes["cg"], outcomes["nv"]
-            cg_diss = [d for ok, d, _ in cg_out if ok]
-            nv_done = [t for ok, t in nv_out if ok and t is not None]
-            cg_mean = summarize(cg_diss).mean if cg_diss else None
-            nv_mean = summarize(nv_done).mean if nv_done else None
+        def reduce(
+            ctx, outcomes, num_cliques=num_cliques, kn=kn, columns=columns
+        ):
+            cg = fold_columns(columns["cg"], outcomes["cg"])
+            nv = fold_columns(columns["nv"], outcomes["nv"])
+            cg_mean = cg["mean_dissemination"]
+            nv_mean = nv["mean_completion"]
             return [
                 {
                     "cliques": num_cliques,
                     "D": kn.diameter,
                     "Delta": kn.max_degree,
-                    "cgcast_success": success_rate(
-                        [ok for ok, _, _ in cg_out]
-                    ),
+                    "cgcast_success": cg["success"],
                     "cgcast_dissemination": cg_mean,
                     "cgcast_per_hop": (
                         cg_mean / kn.diameter if cg_mean else None
                     ),
-                    "cgcast_total": cg_out[0][2],
-                    "naive_success": success_rate([ok for ok, _ in nv_out]),
+                    "cgcast_total": cg["schedule_slots"],
+                    "naive_success": nv["success"],
                     "naive_completion": nv_mean,
                     "naive_per_hop": (
                         nv_mean / kn.diameter if nv_mean else None
@@ -568,13 +522,7 @@ def _plan_e6(ctx: RunContext) -> Iterable[Point]:
                 }
             ]
 
-        yield Point(
-            [
-                Run("cg", cg, "e6cg", seed + num_cliques),
-                Run("nv", nv_trial, "e6nv", seed + num_cliques),
-            ],
-            reduce,
-        )
+        yield Point([run for run, _ in runs], reduce)
 
 
 def _notes_e6(rows: List[Row], ctx: RunContext) -> str:
@@ -720,101 +668,46 @@ def _plan_e8(ctx: RunContext) -> Iterable[Point]:
         net = build_network(
             star(delta + 1), c=8, k=2, seed=seed + delta, kind="global_core"
         )
-
-        def star_outcome(result, net=net):
-            report = verify_discovery(result, net)
-            return report.success, report.completion_slot
-
-        star_trial = cseek_trial(
-            lambda s, net=net: CSeek(net, seed=s), star_outcome
+        run = _protocol_run(
+            "star", "cseek", "e8-star", seed + delta, net,
+            trials=max(3, trials // 3),
         )
-
-        def reduce(ctx, outcomes, delta=delta):
-            results = outcomes["star"]
-            done = [t for ok, t in results if ok and t is not None]
-            return [
-                {
-                    "case": "star Omega(Delta)",
-                    "x": delta,
-                    "mean_rounds_to_meet": (
-                        summarize(done).mean if done else None
-                    ),
-                    "game_floor": float(delta),
-                    "cseek_schedule": None,
-                }
-            ]
-
-        yield Point(
-            [
-                Run(
-                    "star",
-                    star_trial,
-                    "e8-star",
-                    seed + delta,
-                    max(3, trials // 3),
-                )
-            ],
-            reduce,
+        yield _protocol_point(
+            [run],
+            {"case": "star Omega(Delta)", "x": delta},
+            {"mean_rounds_to_meet": ("star", "mean_completion")},
+            {"game_floor": float(delta), "cseek_schedule": None},
         )
 
 
 # ----------------------------------------------------------------------
 # E9 — broadcast lower bound on trees (Theorem 14)
 # ----------------------------------------------------------------------
+_E9_HEADERS = {
+    "cgcast_success": ("cg", "success"),
+    "cgcast_dissemination": ("cg", "mean_dissemination"),
+    "naive_success": ("nv", "success"),
+    "naive_completion": ("nv", "mean_completion"),
+}
+
+
 def _plan_e9(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     c = 4
     for depth in (2, 3, 4):
         net = build_theorem14_tree(c=c, depth=depth, seed=seed + depth)
         kn = net.knowledge()
-        floor = tree_broadcast_floor(c=c, delta=kn.max_degree, depth=depth)
-        greedy = broadcast_floor(net, source=0)
-
-        cg = cgcast_trial(
-            lambda s, discovery=None, net=net: CGCast(
-                net, source=0, seed=s, discovery=discovery
-            ),
-            lambda result: (
-                result.success,
-                result.ledger.get("dissemination"),
-            ),
-        )
-
-        def nv_trial(s: int, net=net):
-            result = NaiveBroadcast(net, source=0, seed=s).run()
-            return result.success, result.completion_slot
-
-        def reduce(
-            ctx, outcomes, depth=depth, net=net, floor=floor, greedy=greedy
-        ):
-            cg_out, nv_out = outcomes["cg"], outcomes["nv"]
-            cg_done = [d for ok, d in cg_out if ok]
-            nv_done = [t for ok, t in nv_out if ok and t is not None]
-            return [
-                {
-                    "depth": depth,
-                    "n": net.n,
-                    "analytic_floor": floor,
-                    "greedy_oracle": greedy,
-                    "cgcast_success": success_rate(
-                        [ok for ok, _ in cg_out]
-                    ),
-                    "cgcast_dissemination": (
-                        summarize(cg_done).mean if cg_done else None
-                    ),
-                    "naive_success": success_rate([ok for ok, _ in nv_out]),
-                    "naive_completion": (
-                        summarize(nv_done).mean if nv_done else None
-                    ),
-                }
-            ]
-
-        yield Point(
-            [
-                Run("cg", cg, "e9cg", seed + depth),
-                Run("nv", nv_trial, "e9nv", seed + depth),
-            ],
-            reduce,
+        yield _protocol_point(
+            _broadcast_runs(net, "e9", seed + depth),
+            {
+                "depth": depth,
+                "n": net.n,
+                "analytic_floor": tree_broadcast_floor(
+                    c=c, delta=kn.max_degree, depth=depth
+                ),
+                "greedy_oracle": broadcast_floor(net, source=0),
+            },
+            _E9_HEADERS,
         )
 
 
@@ -885,31 +778,22 @@ def _plan_e10(ctx: RunContext) -> Iterable[Point]:
         net = build_network(
             graph, c=16, k=1, seed=seed + kmax, kind=kind, kmax=kmax
         )
-
-        full_trial = cseek_trial(
-            lambda s, net=net: CSeek(net, seed=s),
-            lambda result, net=net: (
-                verify_discovery(result, net).success,
-                result.total_slots,
-            ),
-        )
-
-        def reduce(ctx, outcomes, kmax=kmax):
-            results = outcomes["cseek"]
-            return [
-                {
-                    "case": f"full budget, kmax/k={kmax}",
-                    "low_overlap_found": None,
-                    "high_overlap_found": None,
-                    "bias(high/low)": None,
-                    "success": success_rate([ok for ok, _ in results]),
-                    "schedule": results[0][1],
-                }
-            ]
-
-        yield Point(
-            [Run("cseek", full_trial, f"e10f{kmax}", seed + 40 + kmax)],
-            reduce,
+        yield _protocol_point(
+            [
+                _protocol_run(
+                    "cseek", "cseek", f"e10f{kmax}", seed + 40 + kmax, net
+                )
+            ],
+            {
+                "case": f"full budget, kmax/k={kmax}",
+                "low_overlap_found": None,
+                "high_overlap_found": None,
+                "bias(high/low)": None,
+            },
+            {
+                "success": ("cseek", "success"),
+                "schedule": ("cseek", "schedule_slots"),
+            },
         )
 
 
@@ -1075,41 +959,19 @@ def _plan_e12(ctx: RunContext) -> Iterable[Point]:
             if activity > 0
             else None
         )
-
-        def verify_outcome(result):
-            report = verify_discovery(result, net)
-            return report.success, report.completion_slot
-
-        trial = cseek_trial(
-            lambda s: CSeek(net, seed=s),
-            verify_outcome,
-            environment=environment,
-        )
-
-        def reduce(ctx, outcomes, name=name, activity=activity):
-            results = outcomes["cseek"]
-            done = [t for ok, t in results if ok and t is not None]
-            return [
-                {
-                    "traffic": name,
-                    "activity": activity,
-                    "success": success_rate([ok for ok, _ in results]),
-                    "mean_completion": (
-                        summarize(done).mean if done else None
-                    ),
-                }
-            ]
-
-        yield Point(
+        yield _protocol_point(
             [
-                Run(
-                    "cseek",
-                    trial,
-                    f"e12-{name}",
-                    seed + int(activity * 10),
+                _protocol_run(
+                    "cseek", "cseek", f"e12-{name}",
+                    seed + int(activity * 10), net,
+                    environment=environment,
                 )
             ],
-            reduce,
+            {"traffic": name, "activity": activity},
+            {
+                "success": ("cseek", "success"),
+                "mean_completion": ("cseek", "mean_completion"),
+            },
         )
 
 

@@ -515,7 +515,9 @@ class ProtocolSpec:
     ``max_slots``) to their constructors, and ``naive_broadcast``,
     which has no traffic model, rejects points with active
     interference; ``count`` takes ``m`` (broadcaster count,
-    required), ``max_count``, ``log_n``, ``rule`` and ``round_slots``.
+    required, >= 1), ``max_count``, ``log_n``, ``rule`` and
+    ``round_slots``, and nothing else. A param its kind rejects fails
+    when the sweep point lowers, before any trial runs.
     """
 
     kind: str

@@ -2,8 +2,8 @@
 
 Every experiment ultimately hands the scenario sweep driver
 (:mod:`repro.scenarios.compile`) a callable of one trial seed. These
-factories build that callable once
-per protocol family and attach an ``xbatch`` descriptor
+factories build that callable once per protocol family and attach an
+``xbatch`` descriptor
 (:mod:`repro.core.xbatch`) naming the family's one lockstep program.
 The descriptor serves both vectorized executors: ``jobs="xbatch"``
 groups compatible sweep points, and ``jobs="batch"`` calls
@@ -17,6 +17,11 @@ semantics the batched path reproduces bit-for-bit:
   (:class:`~repro.core.xbatch.CGCastXBatch`).
 * :func:`count_trial` — single COUNT steps
   (:class:`~repro.core.xbatch.CountXBatch`).
+
+:func:`~repro.scenarios.compile.protocol_trial` is the one caller for
+protocol-kind trials (declarative points and the paper experiments
+alike); the paper experiments call :func:`cseek_trial` directly only
+for their experiment-specific outcomes (E3, E10's starved rows).
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.harness.cache import cache_key
 from repro.model import HarnessError
 from repro.scenarios import (
@@ -16,6 +17,7 @@ from repro.scenarios import (
     apply_overrides,
     get_scenario,
     load_scenario_file,
+    resolve_scenario,
     run_scenario,
     scenario_ids,
     spec_digest,
@@ -538,6 +540,48 @@ class TestDeclarativeExecution:
         # Zero activity lowers to no environment, which it can run.
         quiet = apply_overrides(spec, {"sweep.axes.activity": "[0.0]"})
         assert run_scenario(quiet, seed=1).rows[0]["success"] == 1.0
+
+    @pytest.mark.parametrize(
+        "scenario, overrides, message",
+        [
+            ("count-interference", {"protocol.params.m": "0"}, "m >= 1"),
+            ("count-interference", {"protocol.params.mm": "3"}, "'mm'"),
+            (
+                "pu-geo-cseek",
+                {"protocol.params.part1_step": "3"},
+                "part1_step",
+            ),
+            (
+                "grid-cgcast-hetero",
+                {"protocol.params.source": "99"},
+                "source 99",
+            ),
+            (
+                "pu-geo-cseek",
+                {
+                    "protocol.kind": "naive_discovery",
+                    "protocol.params.max_slots": "0",
+                },
+                "max_slots",
+            ),
+            (
+                "grid-cgcast-hetero",
+                {"protocol.kind": "ckseek", "protocol.params.khat": "9"},
+                "khat",
+            ),
+        ],
+        ids=["count-m0", "count-typo", "cseek-typo", "cgcast-source",
+             "naive-max-slots", "ckseek-khat"],
+    )
+    def test_invalid_protocol_params_fail_before_any_trial(
+        self, scenario, overrides, message
+    ):
+        spec = resolve_scenario(scenario, overrides)
+        with obs.capture() as tel:
+            with pytest.raises(HarnessError, match=message) as err:
+                run_scenario(spec, trials=2)
+        assert tel.counters.get("executor.trials", 0) == 0
+        assert f"scenario {scenario!r}, sweep point 0" in str(err.value)
 
 
 class TestScenarioCache:
