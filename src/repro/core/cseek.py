@@ -29,9 +29,9 @@ receiving its current payload).
 Execution: the schedule is open-loop — no step looks at an earlier
 step's outcome, and part two reads only part one's final scores — so
 :meth:`CSeek.run` is the one-trial case of
-:func:`repro.core.cseek_batch.run_cseek_lockstep`, which draws each
-chunk of consecutive steps in schedule order and resolves it with one
-engine call. This module holds the protocol's configuration, its
+:func:`repro.core.cseek_batch.run_cseek_lockstep`, which decodes each
+chunk of consecutive steps' draws in schedule order and resolves it
+with one engine call. This module holds the protocol's configuration, its
 per-step building blocks (:func:`choose_part2_labels`,
 :func:`backoff_probabilities`) and the result types.
 """
@@ -79,10 +79,13 @@ def choose_part2_labels(
     when a node accumulated nothing — or for everyone under the
     ``uniform`` ablation policy.
 
-    Called once per trial and part-two step by
-    :func:`repro.core.cseek_batch.run_cseek_lockstep`, between the
-    step's role draw and its back-off coins; the draw order here is
-    part of every trial's random stream.
+    Its draws — ``integers(0, c, n)``, then one double per weighted
+    listener — sit between the step's role draws and its back-off coins
+    in every trial's random stream.
+    :func:`repro.core.cseek_batch.run_cseek_lockstep` decodes them from
+    a bulk fill with this exact logic and calls this function only to
+    redraw a chunk of a trial whose labels hit a Lemire rejection (see
+    :class:`repro.sim.rng.BulkDraws`).
     """
     n, c = counts.shape
     labels = rng.integers(0, c, size=n)

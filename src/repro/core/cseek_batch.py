@@ -11,8 +11,9 @@ axes at once:
   compatible points — run in lockstep.
 * **Steps.** Each part runs in chunks of ``K`` consecutive steps, with
   ``K = max(1, _CHUNK_CELLS // (B * T * n))`` for step length ``T``.
-  Every trial draws the chunk's labels, roles and coins in schedule
-  order into ``(B, K, ...)`` arrays, and the whole chunk resolves as one
+  Every trial's chunk of labels, roles and coins is decoded in
+  schedule order into ``(B, K, ...)`` arrays, and the whole chunk
+  resolves as one
   :func:`repro.core.count.resolve_count_step_batch` (part one) or
   :func:`repro.sim.engine.resolve_step_batch` (part two) call over
   ``B * K`` rows, with one jam-mask gather and one trace scan.
@@ -21,15 +22,42 @@ Serial :meth:`CSeek.run <repro.core.cseek.CSeek.run>` is the one-member,
 one-seed case (``B = 1``), and :meth:`CSeekBatch.run` the one-member
 case.
 
-Bit-exactness contract: trial ``b`` draws from its *own* generators
-(``RngHub(seed_b).child(rng_label)``) in exactly the order of a
-step-by-step execution — labels, roles, then engine coins per step;
-per-trial traffic streams advance independently, and occupancy never
-depends on the channels — so results are field-for-field identical
-whatever the trial grouping or the chunk size. Batching is a pure
-throughput decision, which is what lets every executor strategy route
-protocol runs through this module without perturbing any experiment
-table. The step-by-step program survives as the test reference.
+Bit-exactness contract: trial ``b`` owns two generators,
+``RngHub(seed_b).child(rng_label)``'s ``"part1"`` and ``"part2"``, and
+its stream is exactly that of a step-by-step execution which calls, per
+step:
+
+* part one: ``integers(0, c, n)`` for the labels, then ``random`` for
+  ``n`` roles and ``T * n`` COUNT coins (role row first);
+* part two: ``random(n)`` for the roles, then
+  :func:`~repro.core.cseek.choose_part2_labels` (``integers(0, c, n)``,
+  then one double per listener with a nonzero ``counts`` row under the
+  weighted policy), then ``random`` for the ``lg Delta * n`` back-off
+  coins.
+
+The runner does not make those calls. Per chunk, each trial takes its
+next raw 64-bit words with one ``random_raw`` fill, and
+:class:`~repro.sim.rng.BulkDraws` decodes the same values from them: a
+double per word (roles and coins compare the word against
+:func:`~repro.sim.rng.word_thresholds`, targets become
+``(w >> 11) * 2**-53``), and labels as Lemire's method on 32-bit
+halves, with the half-word numpy buffers between label draws carried
+from step to step and chunk to chunk. Part one's layout per step is
+fixed; in part two a step's length depends on how many weighted
+listeners its role words produce, so :func:`_part2_starts` scans the
+fill for each step's offset and the unused tail is handed back with
+``PCG64.advance``. A trial whose labels hit a Lemire rejection (a
+redraw, which shifts the stream; never when ``c`` is a power of two)
+goes back to the chunk start and redraws the chunk with the
+generator's own calls. Per-trial traffic streams advance independently,
+and occupancy never depends on the channels. So results are
+field-for-field identical to the step-by-step program whatever the
+trial grouping or the chunk size. Batching is a pure throughput
+decision, which is what lets every executor strategy route protocol
+runs through this module without perturbing any experiment table. The
+step-by-step program survives as the test reference
+(``tests/cseek_reference.py``), and ``tests/test_prop_draws.py`` holds
+the decoder to the generator calls.
 
 The same runner serves CKSEEK (different budgets, same machinery — build
 it from a :class:`~repro.core.ckseek.CKSeek` prototype via
@@ -49,7 +77,7 @@ per-point trial counts need no padding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +97,7 @@ from repro.sim.engine import BatchStepOutcome, resolve_step_batch
 from repro.sim.environment import SpectrumEnvironment
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
-from repro.sim.rng import RngHub
+from repro.sim.rng import BulkDraws, RngHub, word_doubles, word_thresholds
 from repro.sim.trace import TraceRecorder, record_step_batch
 
 __all__ = [
@@ -239,6 +267,142 @@ def lockstep_signature(batch: CSeekBatch) -> tuple:
     )
 
 
+def _below(words: np.ndarray, at: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``(B, K) + bounds.shape`` tests ``word <= bound`` of a fill's runs.
+
+    Trial ``b``'s step ``s`` run is the ``bounds.size`` words from
+    ``at[b, s]`` on, each compared with its bound. Part one's runs sit
+    at the same offsets in every trial and repeat every two steps
+    (every step when ``n`` is even), so they are compared in place
+    through two strided views; other runs are gathered first.
+    """
+    trials, steps = at.shape
+    out = np.empty((trials, steps) + bounds.shape, dtype=bool)
+    period = at[0, 2:] - at[0, :-2]
+    if (at == at[0]).all() and (period == period[:1]).all():
+        item = words.itemsize
+        inner = np.empty(bounds.shape, dtype=words.dtype).strides  # one run
+        stride = int(period[0]) * item if steps > 2 else 0
+        for first in range(min(2, steps)):
+            runs = np.lib.stride_tricks.as_strided(
+                words[:, at[0, first] :],
+                shape=(trials, len(range(first, steps, 2))) + bounds.shape,
+                strides=(words.strides[0], stride) + inner,
+                writeable=False,
+            )
+            np.less_equal(runs, bounds, out=out[:, first::2])
+        return out
+    index = (at[:, :, None] + np.arange(bounds.size)).reshape(trials, -1)
+    runs = np.take_along_axis(words, index, axis=1)
+    return np.less_equal(runs.reshape(out.shape), bounds, out=out)
+
+
+def _part2_starts(
+    words: np.ndarray,
+    fixed: np.ndarray,
+    weighted: np.ndarray,
+    half: np.ndarray,
+) -> np.ndarray:
+    """``(B, K + 1)`` fill offsets where each part-two step begins.
+
+    A step takes ``fixed[b, s]`` words plus one target per listener
+    with a weighted row, and whether node ``u`` listens is its role
+    word, the ``u``-th of the step. So one correlation gives, for every
+    offset a step could start at, how many targets it would draw, and
+    a scalar scan per trial walks the steps through it.
+    """
+    starts = np.zeros((fixed.shape[0], fixed.shape[1] + 1), dtype=np.int64)
+    np.cumsum(fixed, axis=1, out=starts[:, 1:])
+    for b in np.flatnonzero(weighted.any(axis=1)):
+        listens = (words[b] > half).astype(np.int64)
+        targets = np.correlate(listens, weighted[b].astype(np.int64)).tolist()
+        at, row = 0, [0]
+        for length in fixed[b].tolist():
+            at += length + targets[at]
+            row.append(at)
+        starts[b] = row
+    return starts
+
+
+def _draw_part1(
+    draws: BulkDraws, steps: int, bounds: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One chunk of part-one draws: ``(labels, below)``.
+
+    Per step, each trial draws ``integers(0, c, n)`` labels, then one
+    double per entry of ``bounds`` (``(rows, n)``: the role row, then
+    one row of COUNT coins per slot); ``below`` holds, per double,
+    whether it fell below its probability (see
+    :func:`~repro.sim.rng.word_thresholds`).
+    """
+    n = bounds.shape[1]
+    fresh = draws.label_words(steps, n)
+    ends = np.cumsum(fresh + bounds.size, axis=1)
+    starts = ends - fresh - bounds.size
+    words = draws.fill(int(ends[:, -1].max()))
+    labels, ok = draws.labels(words, starts, n)
+    draws.rewind(ends[:, -1])
+    below = _below(words, starts + fresh, bounds)
+    for b in np.flatnonzero(~ok):
+        with draws.replay(b) as rng:
+            for s in range(steps):
+                labels[b, s] = rng.integers(0, draws.c, size=n)
+                raw = rng.bit_generator.random_raw(bounds.size)
+                below[b, s] = raw.reshape(bounds.shape) <= bounds
+    return labels, below
+
+
+def _draw_part2(
+    draws: BulkDraws,
+    steps: int,
+    counts: np.ndarray,
+    coin_bounds: np.ndarray,
+    policy: ListenerPolicy,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One chunk of part-two draws: ``(tx_role, labels, coins)``.
+
+    Per step, each trial draws ``n`` role doubles, then its labels as
+    :func:`~repro.core.cseek.choose_part2_labels` does (``integers(0,
+    c, n)``, then one target double per listener with a nonzero
+    ``counts`` row under the weighted policy), then one back-off coin
+    per entry of ``coin_bounds`` (``(lg Delta, n)`` word thresholds).
+    """
+    n = counts.shape[1]
+    coin_words = coin_bounds.size
+    half = np.broadcast_to(word_thresholds(0.5), (n,))
+    row_sums = counts.sum(axis=2)
+    weighted = (row_sums > 0) & (policy == "weighted")
+    fresh = draws.label_words(steps, n)
+    fixed = n + fresh + coin_words
+    max_words = fixed.sum(axis=1) + steps * weighted.sum(axis=1)
+    words = draws.fill(int(max_words.max()))
+    starts = _part2_starts(words, fixed, weighted, half[0])
+    tx_role = _below(words, starts[:, :-1], half)
+    labels, ok = draws.labels(words, starts[:, :-1] + n, n)
+    picks = ~tx_role & weighted[:, None, :]
+    b_idx, s_idx, u_idx = np.nonzero(picks)
+    if b_idx.size:
+        rank = np.cumsum(picks, axis=2)[b_idx, s_idx, u_idx] - 1
+        at = starts[b_idx, s_idx] + n + fresh[b_idx, s_idx] + rank
+        targets = word_doubles(words[b_idx, at]) * row_sums[b_idx, u_idx]
+        cdf = np.cumsum(counts[b_idx, u_idx], axis=1)
+        picked = (cdf < targets[:, None]).sum(axis=1)
+        labels[b_idx, s_idx, u_idx] = np.minimum(picked, draws.c - 1)
+    coins = _below(words, starts[:, 1:] - coin_words, coin_bounds)
+    draws.rewind(starts[:, -1])
+    for b in np.flatnonzero(~ok):
+        with draws.replay(b) as rng:
+            raw = rng.bit_generator.random_raw
+            for s in range(steps):
+                tx_role[b, s] = raw(n) <= half
+                labels[b, s] = choose_part2_labels(
+                    rng, tx_role[b, s], counts[b], policy=policy
+                )
+                coin = raw(coin_words).reshape(coin_bounds.shape)
+                coins[b, s] = coin <= coin_bounds
+    return tx_role, labels, coins
+
+
 #: Engine cells (trials x slots x nodes) one chunk of lockstep steps
 #: resolves at once: each part runs in chunks of
 #: ``K = max(1, _CHUNK_CELLS // (B * T * n))`` consecutive steps.
@@ -254,8 +418,9 @@ def run_cseek_lockstep(
     and environments may differ. CSEEK's schedule is open-loop — no
     step looks at an earlier step's outcome, and part two reads only
     part one's final ``counts`` — so each part runs in chunks of ``K``
-    consecutive steps: every trial draws the chunk's labels, roles and
-    coins in schedule order from its own generators, then the whole
+    consecutive steps: every trial's chunk of labels, roles and coins
+    is decoded in schedule order from one raw fill of its own
+    generators (:class:`~repro.sim.rng.BulkDraws`), then the whole
     ``(B * K)``-row chunk resolves as *one* engine call, against a
     shared adjacency when every member's network coincides (the
     single-point case) or a per-trial stack otherwise. Per trial,
@@ -405,28 +570,24 @@ def run_cseek_lockstep(
 
     count_probs = count_probabilities(
         kn.max_degree, kn.log_n, proto.constants
-    )[:, None]
-    count_slots = count_probs.shape[0]
-    rng1 = [hub.generator("part1") for hub in hubs]
+    )
+    count_slots = count_probs.size
+    # Per node: the role row, then one COUNT coin row per slot.
+    bounds1 = np.broadcast_to(
+        word_thresholds(np.concatenate([[0.5], count_probs]))[:, None],
+        (count_slots + 1, n),
+    )
+    draws1 = BulkDraws([hub.generator("part1") for hub in hubs], c)
     with obs.span(stage):
         for steps in chunks(proto.part1_step_budget, count_slots):
-            labels = np.empty((num_trials, steps, n), dtype=np.int64)
-            # Per step: the role uniforms (row 0), then the COUNT coin
-            # uniforms — consecutive draws of one generator, so one
-            # random() fill per step equals the two separate draws.
-            uniforms = np.empty((num_trials, steps, count_slots + 1, n))
-            for b, rng in enumerate(rng1):
-                for s in range(steps):
-                    labels[b, s] = rng.integers(0, c, size=n)
-                    rng.random(out=uniforms[b, s])
-            tx_role = uniforms[:, :, 0, :] < 0.5
-            coins = uniforms[:, :, 1:, :] < count_probs
+            labels, below = _draw_part1(draws1, steps, bounds1)
+            tx_role = below[:, :, 0, :]
             channels = chunk_channels(labels)
             outcome = resolve_count_step_batch(
                 chunk_adjacency(steps),
                 channels.reshape(-1, n),
                 tx_role.reshape(-1, n),
-                coins.reshape(-1, count_slots, n),
+                below[:, :, 1:, :].reshape(-1, count_slots, n),
                 max_count=kn.max_degree,
                 log_n=kn.log_n,
                 constants=proto.constants,
@@ -447,28 +608,23 @@ def run_cseek_lockstep(
         [set(trace.heard_by(u)) for u in range(n)] for trace in traces
     ]
 
-    rng2 = [hub.generator("part2") for hub in hubs]
     backoff_len = kn.log_delta
-    backoff_probs = backoff_probabilities(backoff_len)[:, None]
-    policy = proto.part2_listener
+    bounds2 = np.broadcast_to(
+        word_thresholds(backoff_probabilities(backoff_len))[:, None],
+        (backoff_len, n),
+    )
+    draws2 = BulkDraws([hub.generator("part2") for hub in hubs], c)
     with obs.span(stage):
         for steps in chunks(proto.part2_step_budget, backoff_len):
-            labels = np.empty((num_trials, steps, n), dtype=np.int64)
-            tx_role = np.empty((num_trials, steps, n), dtype=bool)
-            uniforms = np.empty((num_trials, steps, backoff_len, n))
-            for b, rng in enumerate(rng2):
-                for s in range(steps):
-                    tx_role[b, s] = role = rng.random(n) < 0.5
-                    labels[b, s] = choose_part2_labels(
-                        rng, role, counts[b], policy=policy
-                    )
-                    rng.random(out=uniforms[b, s])
+            tx_role, labels, coins = _draw_part2(
+                draws2, steps, counts, bounds2, proto.part2_listener
+            )
             channels = chunk_channels(labels)
             outcome = resolve_step_batch(
                 chunk_adjacency(steps),
                 channels.reshape(-1, n),
                 tx_role.reshape(-1, n),
-                (uniforms < backoff_probs).reshape(-1, backoff_len, n),
+                coins.reshape(-1, backoff_len, n),
                 jam=gather_jam(channels, backoff_len),
             )
             book_chunk(outcome, channels, "part2")

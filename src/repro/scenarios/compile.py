@@ -488,7 +488,15 @@ def protocol_trial(
         if m < 1:
             raise HarnessError(f"count protocol needs m >= 1, got {m}")
         max_count = int(params.get("max_count", m))
+        if max_count < 1:
+            raise HarnessError(
+                f"count protocol needs max_count >= 1, got {max_count}"
+            )
         log_n = int(params.get("log_n", ceil_log2(m + 1)))
+        if log_n < 1:
+            raise HarnessError(
+                f"count protocol needs log_n >= 1, got {log_n}"
+            )
         consts_kwargs = {"count_rule": params.get("rule", "argmax")}
         if "round_slots" in params:
             consts_kwargs["count_round_slots"] = float(params["round_slots"])

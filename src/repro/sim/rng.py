@@ -9,16 +9,30 @@ processes, unlike Python's salted ``hash``) into
 
 * the same experiment seed always reproduces the same run, and
 * streams for different nodes/phases are statistically independent.
+
+:class:`BulkDraws` reads a batch of those generators' upcoming draws
+from one raw fill each and decodes them into exactly the values the
+per-draw ``Generator`` calls would return, so a lockstep runner can
+draw a whole chunk of steps per trial at once without changing a bit.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Tuple
+from contextlib import contextmanager
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["RngHub", "SeedStream"]
+__all__ = [
+    "BulkDraws",
+    "RngHub",
+    "SeedStream",
+    "word_doubles",
+    "word_thresholds",
+]
+
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _stable_key(name: str) -> int:
@@ -115,3 +129,195 @@ class SeedStream:
             int(s)
             for s in self._generator.integers(0, 2**63 - 1, size=count)
         ]
+
+
+def word_thresholds(probs) -> np.ndarray:
+    """Raw-word bounds that stand in for ``Generator.random() < p``.
+
+    ``Generator.random()`` turns the bit generator's next 64-bit word
+    ``w`` into the double ``(w >> 11) * 2**-53``. So for ``0 < p <= 1``,
+    ``random() < p`` iff ``w <= (ceil(p * 2**53) << 11) - 1``, and
+    comparing raw words against these bounds gives the same booleans
+    without building a double. ``p = 1`` wraps to ``2**64 - 1``: every
+    word passes.
+
+    Args:
+        probs: Probabilities in ``(0, 1]``, any shape.
+
+    Returns:
+        ``uint64`` bounds of the same shape.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    if np.any(probs <= 0) or np.any(probs > 1):
+        raise ValueError("word thresholds need probabilities in (0, 1]")
+    # p * 2**53 is exact and at most 2**53, so the ceiling is exact too.
+    scaled = np.ceil(probs * 2.0**53).astype(np.uint64)
+    return (scaled << np.uint64(11)) - np.uint64(1)
+
+
+def word_doubles(words: np.ndarray) -> np.ndarray:
+    """The doubles ``Generator.random()`` makes of raw 64-bit words."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _lemire_rejected(scaled: np.ndarray, c: int) -> np.ndarray:
+    """Which ``u32 * c`` products Lemire's method rejects and redraws."""
+    return (scaled & _LOW32) < np.uint64((2**32 - c) % c)
+
+
+class BulkDraws:
+    """Per-trial ``Generator`` draws decoded from one raw fill per chunk.
+
+    Each of ``B`` trials draws labels (``integers(0, c, n)``) and
+    doubles from its own PCG64 generator. Per call, those cost
+    microseconds of overhead; :meth:`fill` instead takes each trial's
+    next raw 64-bit words with one ``random_raw`` call, and the caller
+    decodes the chunk from them:
+
+    * A double is one word (:func:`word_thresholds`,
+      :func:`word_doubles`).
+    * A label is Lemire's ``(u32 * c) >> 32`` of the next 32-bit draw
+      (:meth:`labels`). A fresh word serves its low half; its high half
+      stays buffered in the bit generator and serves the next 32-bit
+      draw, however many doubles come in between. This object keeps
+      that buffered half per trial across chunks. ``c == 1`` draws
+      nothing.
+    * Lemire rejects a value iff ``(u32 * c) mod 2**32 < (2**32 - c)
+      mod c`` (never when ``c`` is a power of two) and draws again,
+      which shifts the rest of the stream. :meth:`labels` reports the
+      trials where that happened; the caller draws their chunk again
+      with the generator's own calls inside :meth:`replay`.
+
+    The caller owns the step layout: which words of the fill are
+    labels and which are doubles.
+
+    Args:
+        generators: One PCG64 generator per trial; nothing else may
+            draw from them while this object is in use.
+        c: The label range, ``1 <= c < 2**32``.
+    """
+
+    def __init__(
+        self, generators: Sequence[np.random.Generator], c: int
+    ) -> None:
+        self._generators = list(generators)
+        self._bitgens = [g.bit_generator for g in self._generators]
+        if not all(isinstance(bg, np.random.PCG64) for bg in self._bitgens):
+            raise TypeError("BulkDraws decodes PCG64 generators only")
+        c = int(c)
+        if not 1 <= c < 2**32:
+            raise ValueError(f"label range must be in [1, 2**32), got {c}")
+        self.c = c
+        # Start from whatever half the generators already buffer.
+        states = [bg.state for bg in self._bitgens]
+        self._has_half = np.array(
+            [st["has_uint32"] for st in states], dtype=bool
+        )
+        self._half = np.array([st["uinteger"] for st in states], dtype=np.uint64)
+        self._drawn = np.zeros(len(states), dtype=np.int64)
+
+    def _words_before(self, steps: int, n: int) -> np.ndarray:
+        """``(B, steps + 1)`` fresh label words drawn before each step."""
+        values = np.arange(steps + 1, dtype=np.int64) * n
+        return (values - self._has_half[:, None] + 1) // 2
+
+    def label_words(self, steps: int, n: int) -> np.ndarray:
+        """``(B, steps)`` fresh words each step's ``integers(0, c, n)`` takes.
+
+        With ``n`` odd the count alternates between steps, as the
+        buffered half is used up and refilled.
+        """
+        if self.c == 1:
+            return np.zeros((len(self._bitgens), steps), dtype=np.int64)
+        return np.diff(self._words_before(steps, n), axis=1)
+
+    def fill(self, count: int) -> np.ndarray:
+        """Each trial's next ``count`` raw words, ``(B, count)``.
+
+        Starts a chunk: :meth:`rewind` and :meth:`replay` count from
+        here.
+        """
+        words = np.empty((len(self._bitgens), count), dtype=np.uint64)
+        for b, bitgen in enumerate(self._bitgens):
+            words[b] = bitgen.random_raw(count)
+        self._drawn[:] = count
+        return words
+
+    def labels(
+        self, words: np.ndarray, starts: np.ndarray, n: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode each step's ``integers(0, c, n)`` from a fill.
+
+        Args:
+            words: The chunk's fill, ``(B, W)``.
+            starts: ``(B, K)`` index in ``words`` of each step's first
+                fresh label word (``label_words`` gives their counts).
+            n: Labels per step.
+
+        Returns:
+            ``(labels, ok)``: ``(B, K, n)`` int64 labels, and per trial
+            whether no value was rejected. Only ``ok`` trials' labels
+            are exact and only their buffered halves advance; replay
+            the others.
+        """
+        trials, steps = starts.shape
+        if self.c == 1:
+            return (
+                np.zeros((trials, steps, n), dtype=np.int64),
+                np.ones(trials, dtype=bool),
+            )
+        # Value v of the chunk is the carried-in half when t = v - has is
+        # -1, else half (t & 1) of fresh word j = t >> 1. Word j's low
+        # half is value 2j + has, so it sits in step (2j + has) // n —
+        # a high half can be the previous step's last word.
+        has = self._has_half.astype(np.int64)[:, None]
+        t = np.arange(steps * n, dtype=np.int64) - has
+        j = np.maximum(t >> 1, 0)
+        owner = np.minimum((2 * j + has) // n, steps - 1)
+        before = self._words_before(steps, n)
+        rows = np.arange(trials)[:, None]
+        at = starts[rows, owner] + j - before[rows, owner]
+        t = t.reshape(trials, steps, n)
+        w = words[rows, at].reshape(trials, steps, n)
+        u32 = np.where(t & 1, w >> np.uint64(32), w & _LOW32)
+        u32 = np.where(t < 0, self._half[:, None, None], u32)
+        scaled = u32 * np.uint64(self.c)
+        labels = (scaled >> np.uint64(32)).astype(np.int64)
+        rejected = _lemire_rejected(scaled, self.c)
+        ok = ~rejected.reshape(trials, -1).any(axis=1)
+        # An odd number of fresh halves leaves the last word's high half.
+        has_half = ((steps * n - has[:, 0]) & 1).astype(bool)
+        self._has_half = np.where(ok, has_half, self._has_half)
+        self._half = np.where(ok, w[:, -1, -1] >> np.uint64(32), self._half)
+        return labels, ok
+
+    def rewind(self, consumed: np.ndarray) -> None:
+        """Put each trial ``consumed[b]`` words past its chunk start."""
+        consumed = np.asarray(consumed, dtype=np.int64)
+        for b in np.flatnonzero(consumed != self._drawn):
+            # PCG64.advance wraps its argument modulo 2**128, the
+            # generator's period, so a negative step goes back.
+            self._bitgens[b].advance(int(consumed[b] - self._drawn[b]))
+        self._drawn[:] = consumed
+
+    @contextmanager
+    def replay(self, b: int) -> Iterator[np.random.Generator]:
+        """Trial ``b``'s generator at its chunk start, to draw it again.
+
+        Use after the chunk's :meth:`labels` and :meth:`rewind`. The
+        generator comes back with the buffered half it had when the
+        chunk began, so its own ``integers``/``random`` calls redraw the
+        chunk exactly; on exit, its buffered half after those calls is
+        what the next chunk decodes with.
+        """
+        bitgen = self._bitgens[b]
+        bitgen.advance(-int(self._drawn[b]))
+        state = bitgen.state
+        state["has_uint32"] = int(self._has_half[b])
+        state["uinteger"] = int(self._half[b])
+        bitgen.state = state
+        self._drawn[b] = 0
+        yield self._generators[b]
+        state = bitgen.state
+        self._has_half[b] = bool(state["has_uint32"])
+        self._half[b] = state["uinteger"]

@@ -5,7 +5,7 @@ chunks of ``K = max(1, _CHUNK_CELLS // (B * T * n))`` steps. Forcing
 ``K = 1``, ``K = 3`` (which divides neither budget) and the default must
 all reproduce the step-by-step reference program field for field —
 counts, traces with their event channels, ``step_channels`` and
-``channel_at_slot`` included.
+``channel_at_slot`` included — with ``n`` even and odd.
 """
 
 from __future__ import annotations
@@ -36,6 +36,14 @@ def path_net():
 def cycle_net():
     """Same (n, c) as ``path_net`` — lockstep-compatible, other graph."""
     return build_network(cycle(8), c=6, k=2, seed=5)
+
+
+@pytest.fixture(scope="module")
+def odd_net():
+    """Odd ``n``: each step's nine labels alternate between starting on
+    the half-word the previous step left buffered and on a fresh word;
+    ``c = 6`` is no power of two."""
+    return build_network(cycle(9), c=6, k=1, seed=4)
 
 
 def step_lengths(proto):
@@ -88,12 +96,26 @@ def assert_slot_channels_match(got, ref):
 def test_serial_run_matches_reference(
     monkeypatch, path_net, kind, env_kind, chunking
 ):
-    env = environment(env_kind, path_net)
+    check_serial_run(monkeypatch, path_net, kind, env_kind, chunking)
+
+
+@pytest.mark.parametrize("chunking", CHUNKINGS)
+@pytest.mark.parametrize("env_kind", [None, "markov", "poisson", "static"])
+@pytest.mark.parametrize("kind", ["cseek", "ckseek"])
+def test_odd_n_serial_run_matches_reference(
+    monkeypatch, odd_net, kind, env_kind, chunking
+):
+    check_serial_run(monkeypatch, odd_net, kind, env_kind, chunking)
+
+
+def check_serial_run(monkeypatch, net, kind, env_kind, chunking):
+    """One seed of ``kind`` on ``net`` equals the step reference."""
+    env = environment(env_kind, net)
     if kind == "cseek":
-        proto = CSeek(path_net, seed=17, environment=env)
+        proto = CSeek(net, seed=17, environment=env)
     else:
-        proto = CKSeek(path_net, khat=2, seed=17, environment=env)
-    # Trim the resolved budgets (multiples of 3 on this network).
+        proto = CKSeek(net, khat=net.knowledge().k, seed=17, environment=env)
+    # Trim the resolved budgets (neither is a multiple of 3).
     proto.part1_step_budget, proto.part2_step_budget = PART1, PART2
     force_chunking(monkeypatch, chunking, proto)
     got = proto.run()

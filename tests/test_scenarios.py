@@ -547,6 +547,16 @@ class TestDeclarativeExecution:
             ("count-interference", {"protocol.params.m": "0"}, "m >= 1"),
             ("count-interference", {"protocol.params.mm": "3"}, "'mm'"),
             (
+                "count-interference",
+                {"protocol.params.log_n": "-2"},
+                "log_n >= 1",
+            ),
+            (
+                "count-interference",
+                {"protocol.params.max_count": "0"},
+                "max_count >= 1",
+            ),
+            (
                 "pu-geo-cseek",
                 {"protocol.params.part1_step": "3"},
                 "part1_step",
@@ -570,7 +580,8 @@ class TestDeclarativeExecution:
                 "khat",
             ),
         ],
-        ids=["count-m0", "count-typo", "cseek-typo", "cgcast-source",
+        ids=["count-m0", "count-typo", "count-log-n-negative",
+             "count-max-count-0", "cseek-typo", "cgcast-source",
              "naive-max-slots", "ckseek-khat"],
     )
     def test_invalid_protocol_params_fail_before_any_trial(
