@@ -81,11 +81,11 @@ def choose_part2_labels(
 
     Its draws — ``integers(0, c, n)``, then one double per weighted
     listener — sit between the step's role draws and its back-off coins
-    in every trial's random stream.
-    :func:`repro.core.cseek_batch.run_cseek_lockstep` decodes them from
-    a bulk fill with this exact logic and calls this function only to
-    redraw a chunk of a trial whose labels hit a Lemire rejection (see
-    :class:`repro.sim.rng.BulkDraws`).
+    in every trial's random stream. This is the step-by-step form of
+    the rule: :func:`repro.core.cseek_batch.run_cseek_lockstep` decodes
+    the same draws for a whole chunk of steps at once (see
+    :class:`repro.sim.rng.BulkDraws`) and picks the weighted labels
+    from them with the same arithmetic.
     """
     n, c = counts.shape
     labels = rng.integers(0, c, size=n)

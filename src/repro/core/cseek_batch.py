@@ -35,29 +35,30 @@ step:
   weighted policy), then ``random`` for the ``lg Delta * n`` back-off
   coins.
 
-The runner does not make those calls. Per chunk, each trial takes its
-next raw 64-bit words with one ``random_raw`` fill, and
-:class:`~repro.sim.rng.BulkDraws` decodes the same values from them: a
-double per word (roles and coins compare the word against
-:func:`~repro.sim.rng.word_thresholds`, targets become
-``(w >> 11) * 2**-53``), and labels as Lemire's method on 32-bit
-halves, with the half-word numpy buffers between label draws carried
-from step to step and chunk to chunk. Part one's layout per step is
-fixed; in part two a step's length depends on how many weighted
-listeners its role words produce, so :func:`_part2_starts` scans the
-fill for each step's offset and the unused tail is handed back with
+The runner does not make those calls. Per chunk,
+:class:`~repro.sim.rng.BulkDraws` takes each trial's next raw 64-bit
+words with one ``random_raw`` fill and decodes from them exactly the
+values the calls would return: doubles as ``(w >> 11) * 2**-53``
+(roles and coins as comparisons of the word against the probability's
+bound), labels as Lemire's method on 32-bit halves, with the half-word
+numpy buffers between label draws carried from step to step and chunk
+to chunk. Part two's step length depends on how many weighted
+listeners its role doubles produce; the decoder finds each step's
+offset in the fill and hands the unused tail back with
 ``PCG64.advance``. A trial whose labels hit a Lemire rejection (a
 redraw, which shifts the stream; never when ``c`` is a power of two)
 goes back to the chunk start and redraws the chunk with the
-generator's own calls. Per-trial traffic streams advance independently,
-and occupancy never depends on the channels. So results are
-field-for-field identical to the step-by-step program whatever the
-trial grouping or the chunk size. Batching is a pure throughput
-decision, which is what lets every executor strategy route protocol
-runs through this module without perturbing any experiment table. The
-step-by-step program survives as the test reference
-(``tests/cseek_reference.py``), and ``tests/test_prop_draws.py`` holds
-the decoder to the generator calls.
+generator's own calls. The runner then picks the weighted listeners'
+labels from their target doubles with
+:func:`~repro.core.cseek.choose_part2_labels`' rule. Per-trial traffic
+streams advance independently, and occupancy never depends on the
+channels. So results are field-for-field identical to the step-by-step
+program whatever the trial grouping or the chunk size. Batching is a
+pure throughput decision, which is what lets every executor strategy
+route protocol runs through this module without perturbing any
+experiment table. The step-by-step program survives as the test
+reference (``tests/cseek_reference.py``), and
+``tests/test_prop_draws.py`` holds the decoder to the generator calls.
 
 The same runner serves CKSEEK (different budgets, same machinery — build
 it from a :class:`~repro.core.ckseek.CKSeek` prototype via
@@ -89,7 +90,6 @@ from repro.core.cseek import (
     CSeekResult,
     ListenerPolicy,
     backoff_probabilities,
-    choose_part2_labels,
 )
 from repro.model.errors import ProtocolError
 from repro.model.spec import ModelKnowledge
@@ -97,7 +97,7 @@ from repro.sim.engine import BatchStepOutcome, resolve_step_batch
 from repro.sim.environment import SpectrumEnvironment
 from repro.sim.metrics import SlotLedger
 from repro.sim.network import CRNetwork
-from repro.sim.rng import BulkDraws, RngHub, word_doubles, word_thresholds
+from repro.sim.rng import BulkDraws, ChunkDraws, RngHub
 from repro.sim.trace import TraceRecorder, record_step_batch
 
 __all__ = [
@@ -267,140 +267,75 @@ def lockstep_signature(batch: CSeekBatch) -> tuple:
     )
 
 
-def _below(words: np.ndarray, at: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``(B, K) + bounds.shape`` tests ``word <= bound`` of a fill's runs.
+def _part1_draws(
+    generators: Sequence[np.random.Generator],
+    c: int,
+    n: int,
+    count_probs: np.ndarray,
+) -> BulkDraws:
+    """Part one's per-step draws.
 
-    Trial ``b``'s step ``s`` run is the ``bounds.size`` words from
-    ``at[b, s]`` on, each compared with its bound. Part one's runs sit
-    at the same offsets in every trial and repeat every two steps
-    (every step when ``n`` is even), so they are compared in place
-    through two strided views; other runs are gathered first.
+    Per step: the labels, then per node the role double and one COUNT
+    coin per slot (role row first).
     """
-    trials, steps = at.shape
-    out = np.empty((trials, steps) + bounds.shape, dtype=bool)
-    period = at[0, 2:] - at[0, :-2]
-    if (at == at[0]).all() and (period == period[:1]).all():
-        item = words.itemsize
-        inner = np.empty(bounds.shape, dtype=words.dtype).strides  # one run
-        stride = int(period[0]) * item if steps > 2 else 0
-        for first in range(min(2, steps)):
-            runs = np.lib.stride_tricks.as_strided(
-                words[:, at[0, first] :],
-                shape=(trials, len(range(first, steps, 2))) + bounds.shape,
-                strides=(words.strides[0], stride) + inner,
-                writeable=False,
-            )
-            np.less_equal(runs, bounds, out=out[:, first::2])
-        return out
-    index = (at[:, :, None] + np.arange(bounds.size)).reshape(trials, -1)
-    runs = np.take_along_axis(words, index, axis=1)
-    return np.less_equal(runs.reshape(out.shape), bounds, out=out)
+    return BulkDraws(
+        generators,
+        c,
+        n,
+        after=np.broadcast_to(
+            np.concatenate([[0.5], count_probs])[:, None],
+            (count_probs.size + 1, n),
+        ),
+    )
 
 
-def _part2_starts(
-    words: np.ndarray,
-    fixed: np.ndarray,
-    weighted: np.ndarray,
-    half: np.ndarray,
-) -> np.ndarray:
-    """``(B, K + 1)`` fill offsets where each part-two step begins.
-
-    A step takes ``fixed[b, s]`` words plus one target per listener
-    with a weighted row, and whether node ``u`` listens is its role
-    word, the ``u``-th of the step. So one correlation gives, for every
-    offset a step could start at, how many targets it would draw, and
-    a scalar scan per trial walks the steps through it.
-    """
-    starts = np.zeros((fixed.shape[0], fixed.shape[1] + 1), dtype=np.int64)
-    np.cumsum(fixed, axis=1, out=starts[:, 1:])
-    for b in np.flatnonzero(weighted.any(axis=1)):
-        listens = (words[b] > half).astype(np.int64)
-        targets = np.correlate(listens, weighted[b].astype(np.int64)).tolist()
-        at, row = 0, [0]
-        for length in fixed[b].tolist():
-            at += length + targets[at]
-            row.append(at)
-        starts[b] = row
-    return starts
-
-
-def _draw_part1(
-    draws: BulkDraws, steps: int, bounds: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """One chunk of part-one draws: ``(labels, below)``.
-
-    Per step, each trial draws ``integers(0, c, n)`` labels, then one
-    double per entry of ``bounds`` (``(rows, n)``: the role row, then
-    one row of COUNT coins per slot); ``below`` holds, per double,
-    whether it fell below its probability (see
-    :func:`~repro.sim.rng.word_thresholds`).
-    """
-    n = bounds.shape[1]
-    fresh = draws.label_words(steps, n)
-    ends = np.cumsum(fresh + bounds.size, axis=1)
-    starts = ends - fresh - bounds.size
-    words = draws.fill(int(ends[:, -1].max()))
-    labels, ok = draws.labels(words, starts, n)
-    draws.rewind(ends[:, -1])
-    below = _below(words, starts + fresh, bounds)
-    for b in np.flatnonzero(~ok):
-        with draws.replay(b) as rng:
-            for s in range(steps):
-                labels[b, s] = rng.integers(0, draws.c, size=n)
-                raw = rng.bit_generator.random_raw(bounds.size)
-                below[b, s] = raw.reshape(bounds.shape) <= bounds
-    return labels, below
-
-
-def _draw_part2(
-    draws: BulkDraws,
-    steps: int,
+def _part2_draws(
+    generators: Sequence[np.random.Generator],
     counts: np.ndarray,
-    coin_bounds: np.ndarray,
+    backoff_len: int,
     policy: ListenerPolicy,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One chunk of part-two draws: ``(tx_role, labels, coins)``.
+) -> Tuple[BulkDraws, np.ndarray]:
+    """Part two's per-step draws and the weighted listener mask.
 
-    Per step, each trial draws ``n`` role doubles, then its labels as
-    :func:`~repro.core.cseek.choose_part2_labels` does (``integers(0,
-    c, n)``, then one target double per listener with a nonzero
-    ``counts`` row under the weighted policy), then one back-off coin
-    per entry of ``coin_bounds`` (``(lg Delta, n)`` word thresholds).
+    Per step: the role doubles, the labels with one target double per
+    listener whose score row is nonzero under the weighted policy, then
+    ``lg Delta`` back-off coins per node.
     """
-    n = counts.shape[1]
-    coin_words = coin_bounds.size
-    half = np.broadcast_to(word_thresholds(0.5), (n,))
-    row_sums = counts.sum(axis=2)
-    weighted = (row_sums > 0) & (policy == "weighted")
-    fresh = draws.label_words(steps, n)
-    fixed = n + fresh + coin_words
-    max_words = fixed.sum(axis=1) + steps * weighted.sum(axis=1)
-    words = draws.fill(int(max_words.max()))
-    starts = _part2_starts(words, fixed, weighted, half[0])
-    tx_role = _below(words, starts[:, :-1], half)
-    labels, ok = draws.labels(words, starts[:, :-1] + n, n)
-    picks = ~tx_role & weighted[:, None, :]
-    b_idx, s_idx, u_idx = np.nonzero(picks)
+    _, n, c = counts.shape
+    weighted = (counts.sum(axis=2) > 0) & (policy == "weighted")
+    draws = BulkDraws(
+        generators,
+        c,
+        n,
+        before=np.full(n, 0.5),
+        extra=weighted,
+        after=np.broadcast_to(
+            backoff_probabilities(backoff_len)[:, None], (backoff_len, n)
+        ),
+    )
+    return draws, weighted
+
+
+def _part2_labels(
+    chunk: ChunkDraws, counts: np.ndarray, weighted: np.ndarray
+) -> np.ndarray:
+    """A part-two chunk's labels, picked as in ``choose_part2_labels``.
+
+    ``chunk.labels`` holds the uniform labels
+    (:func:`~repro.core.cseek.choose_part2_labels`' ``integers`` draw).
+    A listener with a weighted row instead takes the label where its
+    target, its extra double times the row's total, falls in the row's
+    cumulative scores.
+    """
+    labels = chunk.labels
+    b_idx, s_idx, u_idx = np.nonzero(~chunk.before & weighted[:, None, :])
     if b_idx.size:
-        rank = np.cumsum(picks, axis=2)[b_idx, s_idx, u_idx] - 1
-        at = starts[b_idx, s_idx] + n + fresh[b_idx, s_idx] + rank
-        targets = word_doubles(words[b_idx, at]) * row_sums[b_idx, u_idx]
+        row_sums = counts.sum(axis=2)
+        targets = chunk.extra[b_idx, s_idx, u_idx] * row_sums[b_idx, u_idx]
         cdf = np.cumsum(counts[b_idx, u_idx], axis=1)
         picked = (cdf < targets[:, None]).sum(axis=1)
-        labels[b_idx, s_idx, u_idx] = np.minimum(picked, draws.c - 1)
-    coins = _below(words, starts[:, 1:] - coin_words, coin_bounds)
-    draws.rewind(starts[:, -1])
-    for b in np.flatnonzero(~ok):
-        with draws.replay(b) as rng:
-            raw = rng.bit_generator.random_raw
-            for s in range(steps):
-                tx_role[b, s] = raw(n) <= half
-                labels[b, s] = choose_part2_labels(
-                    rng, tx_role[b, s], counts[b], policy=policy
-                )
-                coin = raw(coin_words).reshape(coin_bounds.shape)
-                coins[b, s] = coin <= coin_bounds
-    return tx_role, labels, coins
+        labels[b_idx, s_idx, u_idx] = np.minimum(picked, counts.shape[2] - 1)
+    return labels
 
 
 #: Engine cells (trials x slots x nodes) one chunk of lockstep steps
@@ -572,15 +507,13 @@ def run_cseek_lockstep(
         kn.max_degree, kn.log_n, proto.constants
     )
     count_slots = count_probs.size
-    # Per node: the role row, then one COUNT coin row per slot.
-    bounds1 = np.broadcast_to(
-        word_thresholds(np.concatenate([[0.5], count_probs]))[:, None],
-        (count_slots + 1, n),
+    draws1 = _part1_draws(
+        [hub.generator("part1") for hub in hubs], c, n, count_probs
     )
-    draws1 = BulkDraws([hub.generator("part1") for hub in hubs], c)
     with obs.span(stage):
         for steps in chunks(proto.part1_step_budget, count_slots):
-            labels, below = _draw_part1(draws1, steps, bounds1)
+            chunk = draws1.take(steps)
+            labels, below = chunk.labels, chunk.after
             tx_role = below[:, :, 0, :]
             channels = chunk_channels(labels)
             outcome = resolve_count_step_batch(
@@ -609,22 +542,21 @@ def run_cseek_lockstep(
     ]
 
     backoff_len = kn.log_delta
-    bounds2 = np.broadcast_to(
-        word_thresholds(backoff_probabilities(backoff_len))[:, None],
-        (backoff_len, n),
+    draws2, weighted = _part2_draws(
+        [hub.generator("part2") for hub in hubs],
+        counts,
+        backoff_len,
+        proto.part2_listener,
     )
-    draws2 = BulkDraws([hub.generator("part2") for hub in hubs], c)
     with obs.span(stage):
         for steps in chunks(proto.part2_step_budget, backoff_len):
-            tx_role, labels, coins = _draw_part2(
-                draws2, steps, counts, bounds2, proto.part2_listener
-            )
-            channels = chunk_channels(labels)
+            chunk = draws2.take(steps)
+            channels = chunk_channels(_part2_labels(chunk, counts, weighted))
             outcome = resolve_step_batch(
                 chunk_adjacency(steps),
                 channels.reshape(-1, n),
-                tx_role.reshape(-1, n),
-                coins.reshape(-1, backoff_len, n),
+                chunk.before.reshape(-1, n),
+                chunk.after.reshape(-1, backoff_len, n),
                 jam=gather_jam(channels, backoff_len),
             )
             book_chunk(outcome, channels, "part2")

@@ -15,17 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CSeek, CSeekBatch
-from repro.core.cseek import choose_part2_labels
-from repro.core.cseek_batch import _draw_part1, _draw_part2
+from repro.core.cseek import backoff_probabilities, choose_part2_labels
+from repro.core.cseek_batch import _part1_draws, _part2_draws, _part2_labels
 from repro.graphs import build_network, cycle
 from repro.sim import MarkovTraffic
 from repro.sim import rng as rng_module
-from repro.sim.rng import BulkDraws, word_doubles, word_thresholds
+from repro.sim.rng import BulkDraws, _word_doubles, _word_thresholds
 
 from cseek_reference import assert_results_equal, chunk_cells, reference_cseek
 
 #: Label ranges: 1 draws nothing, powers of two never reject, and
-#: 2**31 + 1 rejects about half its values (the replay path).
+#: 2**31 + 1 rejects about half its values (the redraw path).
 LABEL_RANGES = [1, 2, 4, 8, 3, 5, 6, 7, 12, 2**31 + 1]
 
 
@@ -72,10 +72,48 @@ class TestBulkDrawsContract:
             0, 2**64, size=4096, dtype=np.uint64
         )
         # Words right at each bound, and one past it.
-        bounds = word_thresholds(probs)
+        bounds = _word_thresholds(probs)
         edges = np.concatenate([bounds, bounds[1:] + np.uint64(1)])
         words = np.concatenate([words, edges])[:, None]
-        assert np.array_equal(words <= bounds, word_doubles(words) < probs)
+        assert np.array_equal(words <= bounds, _word_doubles(words) < probs)
+
+    @given(
+        draw_case(),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_take_matches_generator_calls(self, case, lead, rows, layout_seed):
+        """Any layout: lead doubles with distinct probabilities, labels,
+        extra doubles for flagged lead doubles, trailing doubles."""
+        n, c = case["n"], case["c"]
+        layout = np.random.default_rng(layout_seed)
+        before = 1.0 - layout.random(lead)
+        extra = layout.random((len(case["seeds"]), lead)) < 0.6
+        after = 1.0 - layout.random((rows, n))
+        draws = BulkDraws(
+            generators(case), c, n, after=after, before=before, extra=extra
+        )
+        reference = generators(case)
+        for steps in case["chunks"]:
+            chunk = draws.take(steps)
+            for b, gen in enumerate(reference):
+                for s in range(steps):
+                    below = gen.random(lead) < before
+                    assert np.array_equal(chunk.before[b, s], below)
+                    assert np.array_equal(
+                        chunk.labels[b, s], gen.integers(0, c, size=n)
+                    )
+                    picks = extra[b] & ~below
+                    expected = np.full(lead, np.nan)
+                    expected[picks] = gen.random(int(picks.sum()))
+                    assert np.array_equal(
+                        chunk.extra[b, s], expected, equal_nan=True
+                    )
+                    assert np.array_equal(
+                        chunk.after[b, s], gen.random((rows, n)) < after
+                    )
 
     @given(
         draw_case(),
@@ -83,25 +121,28 @@ class TestBulkDrawsContract:
         st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_part_one_matches_generator_calls(self, case, rows, probs_seed):
+    def test_part_one_matches_generator_calls(self, case, slots, probs_seed):
         n, c = case["n"], case["c"]
-        probs = 1.0 - np.random.default_rng(probs_seed).random((rows, n))
-        draws = BulkDraws(generators(case), c)
+        # COUNT's first round has probability 1.
+        count_probs = 1.0 - np.random.default_rng(probs_seed).random(slots)
+        count_probs[0] = 1.0
+        draws = _part1_draws(generators(case), c, n, count_probs)
         reference = generators(case)
+        probs = np.concatenate([[0.5], count_probs])[:, None]
         for steps in case["chunks"]:
-            labels, below = _draw_part1(draws, steps, word_thresholds(probs))
+            chunk = draws.take(steps)
             for b, gen in enumerate(reference):
                 for s in range(steps):
                     assert np.array_equal(
-                        labels[b, s], gen.integers(0, c, size=n)
+                        chunk.labels[b, s], gen.integers(0, c, size=n)
                     )
                     assert np.array_equal(
-                        below[b, s], gen.random((rows, n)) < probs
+                        chunk.after[b, s], gen.random((slots + 1, n)) < probs
                     )
 
     @given(
         # A (B, n, c) score table needs a small c; the forced-rejection
-        # test below covers part two's replay.
+        # test below covers part two's redraw.
         draw_case(label_ranges=LABEL_RANGES[:-1]),
         st.sampled_from(["weighted", "uniform"]),
         st.integers(min_value=1, max_value=3),
@@ -119,27 +160,29 @@ class TestBulkDrawsContract:
         shape = (trials, n, c)
         counts = scores.integers(0, 3, size=shape) * scores.random(shape)
         counts[scores.random((trials, n)) < 0.3] = 0.0
-        probs = 1.0 - scores.random((backoff_len, n))
-        draws = BulkDraws(generators(case), c)
+        draws, weighted = _part2_draws(
+            generators(case), counts, backoff_len, policy
+        )
         reference = generators(case)
+        probs = backoff_probabilities(backoff_len)[:, None]
         for steps in case["chunks"]:
-            tx_role, labels, coins = _draw_part2(
-                draws, steps, counts, word_thresholds(probs), policy
-            )
+            chunk = draws.take(steps)
+            labels = _part2_labels(chunk, counts, weighted)
             for b, gen in enumerate(reference):
                 for s in range(steps):
                     role = gen.random(n) < 0.5
-                    assert np.array_equal(tx_role[b, s], role)
+                    assert np.array_equal(chunk.before[b, s], role)
                     expected = choose_part2_labels(
                         gen, role, counts[b], policy=policy
                     )
                     assert np.array_equal(labels[b, s], expected)
                     assert np.array_equal(
-                        coins[b, s], gen.random((backoff_len, n)) < probs
+                        chunk.after[b, s],
+                        gen.random((backoff_len, n)) < probs,
                     )
 
 
-class TestRejectionReplay:
+class TestRejectionRedraw:
     @given(
         st.sampled_from(["weighted", "uniform"]),
         st.sampled_from([None, 64, 1]),
@@ -163,12 +206,12 @@ class TestRejectionReplay:
             environment=env,
         )
         seeds = [3, 17, 99, 5]
-        replayed = []
-        replay = BulkDraws.replay
+        redrawn = []
+        redraw = BulkDraws._redraw
 
-        def recording_replay(self, b):
-            replayed.append(int(b))
-            return replay(self, b)
+        def recording_redraw(self, b, used, chunk):
+            redrawn.append(int(b))
+            return redraw(self, b, used, chunk)
 
         def odd_trials_rejected(scaled, c):
             odd = np.arange(scaled.shape[0]) % 2 == 1
@@ -176,10 +219,10 @@ class TestRejectionReplay:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rng_module, "_lemire_rejected", odd_trials_rejected)
-            patch.setattr(BulkDraws, "replay", recording_replay)
+            patch.setattr(BulkDraws, "_redraw", recording_redraw)
             with chunk_cells(cells):
                 got = CSeekBatch(net, **budgets).run(seeds)
-        assert set(replayed) == {1, 3}
+        assert set(redrawn) == {1, 3}
         for result, seed in zip(got, seeds):
             ref = reference_cseek(CSeek(net, seed=seed, **budgets))
             assert_results_equal(result, ref)
