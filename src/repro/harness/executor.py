@@ -257,15 +257,14 @@ class ParallelExecutor:
                         )
                     results.append(payload)
         except BaseException:
-            # Fail fast: drop every unstarted chunk and kill the workers
-            # so chunks still in flight stop at once (shutdown alone
-            # would let them run on, and exit would wait for them).
-            workers = list(pool._processes.values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for worker in workers:
+            # Fail fast: kill the workers so chunks in flight stop at
+            # once, drop the unstarted chunks and wait for the pool's
+            # manager thread to reap every worker. Only that thread may
+            # join them: a second join races it for the exit status,
+            # and the loser returns while active_children() lists one.
+            for worker in list(pool._processes.values()):
                 worker.terminate()
-            for worker in workers:
-                worker.join()
+            pool.shutdown(wait=True, cancel_futures=True)
             raise
         pool.shutdown()
         return results

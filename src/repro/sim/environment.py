@@ -24,9 +24,9 @@ first-class, pluggable subsystem:
 Three models ship:
 
 * :class:`MarkovTraffic` — per-channel ON/OFF Markov chains with a
-  target stationary occupancy and geometric dwell times. A block of
-  any length advances every trial x channel chain in one closed-form
-  scan (:func:`markov_run`), bit-identical to the per-slot recurrence
+  target stationary occupancy and geometric dwell times. Blocks of
+  any length advance by a log-depth scan of per-slot ``(keep, flip)``
+  maps (:func:`markov_run`), bit-identical to the per-slot recurrence
   kept as the oracle in ``tests/test_environment.py``. Bursty: a
   single long ON burst can erase a whole meeting step.
 * :class:`PoissonTraffic` — memoryless per-slot occupancy (each channel
@@ -163,36 +163,37 @@ def markov_run(
     """Advance ``(B, C)`` ON/OFF chains through ``(B, T, C)`` uniforms.
 
     The per-slot rule ``s_t = f_t >= off_prob if s_{t-1} else
-    f_t < on_prob`` either *resets* (both branches agree, so the slot
-    forgets the past), *toggles* (``f_t`` below both thresholds) or
-    *holds*. Slot ``t`` therefore equals the value at the last reset
-    XOR the parity of toggles since. Each chain becomes a row of
-    ``T + 1`` cells whose first cell resets to the carried-in state;
-    one flat XOR scan gives the parity and one flat max scan over codes
-    ``2 * (index + 1) + (value ^ parity)`` at reset cells forward-fills
-    the last reset, neither leaking across rows. ``on_prob`` is a
-    scalar or a per-channel ``(C,)`` vector.
+    f_t < on_prob`` is one of four maps of the state: hold, toggle,
+    or reset to 0 or 1. Each is a pair ``(keep, flip)``, applied as
+    ``s' = (s & keep) ^ flip``, with ``flip = f_t < on_prob`` and
+    ``keep = flip == (f_t < off_prob)``. ``(k1, f1)`` then ``(k2, f2)``
+    composes to ``(k1 & k2, (f1 & k2) ^ f2)``, so a doubling scan along
+    the slot axis builds every slot's prefix map in ``ceil(log2(T))``
+    rounds of bool ops, applied to the carried-in state. ``on_prob``
+    is a scalar or a per-channel ``(C,)`` vector.
 
     Returns ``(occupancy (B, T, C), final state (B, C))``.
     """
-    trials, num_slots, width = flips.shape
-    below_on = flips < on_prob
-    below_off = flips < off_prob
-    reset, toggle, value = np.empty((3, trials, width, num_slots + 1), bool)
-    reset[..., 0], toggle[..., 0], value[..., 0] = True, False, state
-    np.not_equal(below_on, below_off, out=reset[..., 1:].transpose(0, 2, 1))
-    np.logical_and(below_on, below_off, out=toggle[..., 1:].transpose(0, 2, 1))
-    value[..., 1:] = below_on.transpose(0, 2, 1)
-    parity = np.logical_xor.accumulate(toggle.ravel())
-    cells = parity.size
-    dtype = np.int32 if cells < 2**29 else np.int64
-    code = np.arange(2, 2 * cells + 2, 2, dtype=dtype)
-    code |= value.ravel() ^ parity
-    code *= reset.ravel()
-    np.maximum.accumulate(code, out=code)
-    run = ((code & 1).astype(bool) ^ parity).reshape(reset.shape)
-    occupancy = np.ascontiguousarray(run[..., 1:].transpose(0, 2, 1))
-    return occupancy, run[..., -1].copy()
+    num_slots = flips.shape[1]
+    flip = flips < on_prob
+    keep = flip == (flips < off_prob)
+    spare_keep, spare_flip = np.empty_like(keep), np.empty_like(flip)
+    span = 1
+    while span < num_slots:
+        # Slot t >= span composes the map covering the span slots
+        # before it with its own; earlier slots hold their full prefix.
+        new_keep, new_flip = spare_keep[:, span:], spare_flip[:, span:]
+        np.logical_and(keep[:, :-span], keep[:, span:], out=new_keep)
+        np.logical_and(flip[:, :-span], keep[:, span:], out=new_flip)
+        new_flip ^= flip[:, span:]
+        spare_keep[:, :span] = keep[:, :span]
+        spare_flip[:, :span] = flip[:, :span]
+        keep, spare_keep = spare_keep, keep
+        flip, spare_flip = spare_flip, flip
+        span *= 2
+    occupancy = np.logical_and(state[:, None, :], keep, out=keep)
+    occupancy ^= flip
+    return occupancy, occupancy[:, -1].copy()
 
 
 def _draw_uniform(
@@ -363,7 +364,7 @@ class MarkovTraffic(SpectrumEnvironment):
     occupancy ``activity`` and geometric ON bursts of mean
     ``mean_dwell`` slots. Streams draw each trial's uniforms into one
     ``(B, T, C)`` block and advance every chain through it with one
-    closed-form :func:`markov_run` scan; trial ``b``'s slice is
+    :func:`markov_run` map-composition scan; trial ``b``'s slice is
     bit-identical to the single-trial ``stream(seeds[b])`` (same
     generator, same draw order, same kernel), so batching changes
     throughput, not results.

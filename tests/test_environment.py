@@ -1,9 +1,11 @@
 """The spectrum-environment subsystem (repro.sim.environment).
 
-Three invariant families: (1) the closed-form ``markov_run`` scan
-behind ``MarkovTraffic`` is bit-identical to the per-slot ON/OFF
-recurrence it replaced (kept below as the oracle), and the batched
-stream matches the single-trial one per trial; (2) the gather-based
+Three invariant families: (1) the ``markov_run`` scan behind
+``MarkovTraffic``, which composes each slot's ``(keep, flip)`` ON/OFF
+map with the maps before it in log-depth doubling rounds, is
+bit-identical to the per-slot recurrence (kept below as the oracle),
+including at the scan's round boundaries, and the batched stream
+matches the single-trial one per trial; (2) the gather-based
 ``jam_mask`` equals the old per-node loop on every channel shape; and
 (3) the protocol layer's batched runner reproduces the step-by-step
 reference program under traffic.
@@ -76,7 +78,7 @@ def markov_case(draw):
     ``on = 1 > off`` channels in one per-channel vector.
     """
     trials = draw(st.integers(1, 4))
-    slots = draw(st.integers(1, 40))
+    slots = draw(st.integers(1, 300))
     width = draw(st.integers(1, 5))
     dwell = draw(st.sampled_from([1.0, 1.5, 8.0]))
     activity = draw(
@@ -110,6 +112,34 @@ class TestMarkovKernel:
         assert got.shape == flips.shape and got.dtype == bool
         assert np.array_equal(got, ref)
         assert np.array_equal(final, ref_final)
+
+    @pytest.mark.parametrize("slots", [1, 2, 63, 64, 65, 5760])
+    def test_round_boundaries_match_reference(self, slots):
+        # One slot runs no doubling round; 64 is exactly six rounds and
+        # 65 needs a seventh; 5760 is paper-exact COUNT's step.
+        on_prob, off_prob = on_probabilities([0.0, 0.05, 0.5, 0.9], 8.0)
+        rng = np.random.default_rng(slots)
+        flips = rng.random((3, slots, 4))
+        state = rng.random((3, 4)) < 0.5
+        got, final = markov_run(state, flips, on_prob, off_prob)
+        ref, ref_final = reference_markov_run(state, flips, on_prob, off_prob)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(final, ref_final)
+
+    @pytest.mark.parametrize("slots", [1, 64, 65])
+    def test_outputs_are_fresh_and_inputs_untouched(self, slots):
+        rng = np.random.default_rng(11)
+        flips = rng.random((2, slots, 5))
+        state = rng.random((2, 5)) < 0.5
+        flips_before, state_before = flips.copy(), state.copy()
+        occupancy, final = markov_run(state, flips, 0.3, 0.2)
+        assert np.array_equal(flips, flips_before)
+        assert np.array_equal(state, state_before)
+        # gather_occupancy's flat index assumes a row-major block.
+        assert occupancy.flags.c_contiguous
+        # The carried state outlives the block it was read from.
+        assert not np.shares_memory(final, occupancy)
+        assert not np.shares_memory(final, state)
 
     @given(markov_case())
     @settings(max_examples=80, deadline=None)
@@ -150,6 +180,29 @@ class TestMarkovKernel:
             rng = np.random.default_rng(seed)
             state = (rng.random(3) < np.asarray(activity))[None]
             flips = rng.random((sum(chunks), 3))[None]
+            ref, _ = reference_markov_run(state, flips, on_prob, off_prob)
+            assert np.array_equal(got[b], ref[0])
+
+    def test_stream_chunks_straddling_rounds_equal_one_block(self):
+        # Blocks of 1, 63, 64, 65 and 200 slots run zero, six, six,
+        # seven and eight doubling rounds; carried through the stream
+        # they equal one 393-slot block per trial, and the per-slot
+        # reference fed the same generator's uniforms.
+        activity, dwell = [0.0, 0.2, 0.6, 0.95], 4.0
+        chunks = [1, 63, 64, 65, 200]
+        on_prob, off_prob = on_probabilities(activity, dwell)
+        env = MarkovTraffic(
+            IDS, activity=activity, mean_dwell=dwell, seed_offset=0
+        )
+        chunked = env.streams(SEEDS)
+        got = np.concatenate(
+            [chunked.occupied_block(size) for size in chunks], axis=1
+        )
+        assert np.array_equal(got, env.streams(SEEDS).occupied_block(393))
+        for b, seed in enumerate(SEEDS):
+            rng = np.random.default_rng(seed)
+            state = (rng.random(4) < np.asarray(activity))[None]
+            flips = rng.random((393, 4))[None]
             ref, _ = reference_markov_run(state, flips, on_prob, off_prob)
             assert np.array_equal(got[b], ref[0])
 
