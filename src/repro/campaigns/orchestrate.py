@@ -190,8 +190,8 @@ def _execute_entry(payload: Dict[str, object]) -> Dict[str, object]:
     Returns the table as its JSON payload plus wall time, or the error
     — never raises, so a failing entry cannot take the pool down. When
     the payload asks for telemetry, the entry runs under its own
-    recorder and ships the snapshot back; cheap vitals (peak RSS,
-    backend identity) are measured in the executing process either way.
+    recorder and ships the snapshot back; peak RSS is measured in the
+    executing process either way.
     """
     start = time.time()
     tel = obs.start() if payload.get("telemetry") else None

@@ -99,7 +99,6 @@ from repro.campaigns import (
 from repro.harness.executor import get_executor
 from repro.model.errors import HarnessError, ReproError, StoreError
 from repro.scenarios import PAPER_SPECS, iter_scenarios, paper_spec, run_scenario
-from repro.sim.backend import BACKEND_ENV, set_backend
 
 __all__ = ["main", "build_parser"]
 
@@ -117,20 +116,6 @@ def _parse_jobs(value: str) -> "int | str":
     except HarnessError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return int(name) if name.isdigit() else name
-
-
-def _add_backend_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("numpy", "numba"),
-        default=None,
-        help=(
-            "array-compute backend for the engine's hot path (default: "
-            "numpy, or $REPRO_BACKEND); 'numba' JIT-compiles the step "
-            "products and requires numba to be installed; results are "
-            "bit-identical either way"
-        ),
-    )
 
 
 def _add_telemetry_arg(parser: argparse.ArgumentParser) -> None:
@@ -192,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
             "results are identical either way"
         ),
     )
-    _add_backend_arg(run)
     run.add_argument(
         "--cache",
         action="store_true",
@@ -241,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'xbatch' / 'serial'); results are identical either way"
         ),
     )
-    _add_backend_arg(run_scn)
     run_scn.add_argument(
         "--set",
         dest="overrides",
@@ -348,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
             "changes rows"
         ),
     )
-    _add_backend_arg(run_cmp)
     run_cmp.add_argument(
         "--campaign-jobs",
         type=int,
@@ -621,15 +603,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "backend", None) is not None:
-        # The env var (not just the in-process install) so process-pool
-        # workers (--jobs N, --campaign-jobs N) inherit the choice.
-        os.environ[BACKEND_ENV] = args.backend
-        try:
-            set_backend(args.backend)
-        except HarnessError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     if args.command == "list":
         for experiment_id in PAPER_SPECS:
             print(experiment_id)

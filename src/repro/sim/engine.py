@@ -37,9 +37,9 @@ several sweep points (cross-point batching): trials from different
 networks ride one batched resolve, each against its own graph.
 
 The per-step arithmetic — the contender-count and id-sum products —
-is delegated to a pluggable :class:`repro.sim.backend.ArrayBackend`
-(numpy/BLAS by default, optional numba JIT); every backend returns
-exact integers, so the choice never changes results.
+runs as exact float64 BLAS GEMMs in
+:class:`repro.sim.backend.NumpyBackend`; every product is an exact
+integer, so blocking and batching never change results.
 
 Identity convention: nodes are identified by their index ``0 .. n-1``;
 ``-1`` means "heard nothing" (silence or collision) in outputs and
@@ -191,7 +191,7 @@ def _reception_matrix(
 #: Memoized reception matrices: (adjacency, channels bytes, tx bytes,
 #: reach). Serial protocol loops (COUNT trials on one star, repeated
 #: fixed-channel steps) rebuild the identical mask every call; returning
-#: the *same object* also lets the numpy backend reuse its float64
+#: the *same object* also lets the GEMM reuse its float64
 #: casts. Adjacency matches by identity (entries hold strong
 #: references, so an id can never be reused while cached); channels and
 #: roles match by content, since callers often rebuild those small
@@ -297,7 +297,7 @@ def resolve_step(
     # channel in slot t; idsum is the id-sum trick — when exactly one
     # neighbor transmits, the weighted sum of transmitting-neighbor ids
     # *is* the sender's id. Both are exact integers < n^2, so the
-    # backend choice (BLAS float64, numba int loops) never changes them.
+    # float64 GEMM computes them without rounding.
     obs.count("engine.resolve_step_calls")
     with obs.span("gemm"):
         contenders, idsum = active_backend().step_products(reach, coins)
@@ -381,7 +381,7 @@ def resolve_step_batch(
     if channels.ndim == 1 and tx_role.ndim == 1 and adjacency.ndim == 2:
         # Homogeneous trials: one shared (n, n) reception mask; the
         # trial and slot axes flatten into one (B*T, n) product (the
-        # numpy backend blocks the GEMM rows to stay cache-resident).
+        # GEMM blocks its rows to stay cache-resident).
         reach = _cached_reception_matrix(adjacency, channels, tx_role)
         flat = coins.reshape(b * t_slots, n)
         obs.count("engine.resolve_step_batch_calls")

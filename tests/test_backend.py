@@ -1,110 +1,74 @@
-"""ArrayBackend selection and cross-backend bit-identity.
+"""The contention GEMM against a naive integer reference.
 
-Backends compute exact integer products (counts and id-sums), so every
-correct implementation is bit-identical — pinned here against a naive
-integer reference for each backend available in this environment. The
-numba cases skip cleanly when numba is absent; CI runs them in a
-dedicated leg with numba installed.
+:class:`NumpyBackend` computes exact integer products (counts and
+id-sums) through float64 BLAS GEMMs, so it must match an int64 matmul
+bit for bit — across GEMM block boundaries, for per-trial mask stacks,
+and end to end through a scenario's rows. The float-cast and engine
+reception caches are pinned here too.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro import obs
-from repro.model import HarnessError
 from repro.scenarios import run_scenario_spec
-from repro.sim.backend import (
-    BACKEND_ENV,
-    ArrayBackend,
-    NumpyBackend,
-    active_backend,
-    available_backends,
-    set_backend,
-    use_backend,
-)
+from repro.sim.backend import NumpyBackend, active_backend
 
 from tests.test_xbatch import tiny_cseek_sweep
 
-BACKENDS = available_backends()
-
 
 def reference_products(reach, coins):
-    """Naive integer loop — the semantics every backend must match."""
+    """Naive integer loop — the semantics the GEMM must match."""
     contenders = coins.astype(np.int64) @ reach.T.astype(np.int64)
     ids = np.arange(reach.shape[-1], dtype=np.int64)
     idsum = coins.astype(np.int64) @ (reach.astype(np.int64) * ids).T
     return contenders, idsum
 
 
-@pytest.fixture(autouse=True)
-def restore_backend():
-    yield
-    set_backend("numpy")
+def test_active_backend_is_the_numpy_gemm():
+    assert type(active_backend()) is NumpyBackend
+    assert active_backend() is active_backend()
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 class TestBackendEquivalence:
-    def test_step_products_match_reference(self, name):
+    def test_step_products_match_reference(self):
         rng = np.random.default_rng(5)
         reach = rng.random((7, 7)) < 0.4
         coins = rng.random((23, 7)) < 0.5
-        with use_backend(name) as backend:
-            contenders, idsum = backend.step_products(reach, coins)
+        contenders, idsum = active_backend().step_products(reach, coins)
         ref_c, ref_i = reference_products(reach, coins)
         assert contenders.dtype == np.int64
         assert np.array_equal(contenders, ref_c)
         assert np.array_equal(idsum, ref_i)
 
-    def test_batch_step_products_match_reference(self, name):
+    def test_step_products_across_gemm_blocks(self):
+        rows = NumpyBackend._GEMM_ROWS
+        rng = np.random.default_rng(13)
+        reach = rng.random((5, 5)) < 0.5
+        coins = rng.random((2 * rows + 5, 5)) < 0.5
+        with obs.capture() as tel:
+            contenders, idsum = NumpyBackend().step_products(reach, coins)
+        ref_c, ref_i = reference_products(reach, coins)
+        assert np.array_equal(contenders, ref_c)
+        assert np.array_equal(idsum, ref_i)
+        assert tel.counters["backend.gemm_blocks"] == 3
+
+    def test_batch_step_products_match_reference(self):
         rng = np.random.default_rng(6)
         reach = rng.random((4, 6, 6)) < 0.4
         coins = rng.random((4, 9, 6)) < 0.5
-        with use_backend(name) as backend:
-            contenders, idsum = backend.batch_step_products(reach, coins)
+        contenders, idsum = active_backend().batch_step_products(reach, coins)
         for b in range(4):
             ref_c, ref_i = reference_products(reach[b], coins[b])
             assert np.array_equal(contenders[b], ref_c)
             assert np.array_equal(idsum[b], ref_i)
 
-    def test_scenario_rows_identical(self, name):
+    def test_scenario_rows_identical(self):
         spec = tiny_cseek_sweep()
         reference = run_scenario_spec(spec, seed=2, jobs="batch")
-        with use_backend(name):
-            got = run_scenario_spec(spec, seed=2, jobs="xbatch")
+        got = run_scenario_spec(spec, seed=2, jobs="xbatch")
         assert got.rows == reference.rows
-
-
-class TestSelection:
-    def test_default_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        backend = set_backend(None)
-        assert backend.name == "numpy"
-        assert isinstance(active_backend(), ArrayBackend)
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert set_backend(None).name == "numpy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(HarnessError):
-            set_backend("fortran")
-
-    def test_numba_missing_is_a_clear_error(self):
-        if "numba" in BACKENDS:
-            pytest.skip("numba installed — missing-dep path untestable")
-        with pytest.raises(HarnessError, match="not installed"):
-            set_backend("numba")
-
-    def test_use_backend_restores_previous(self):
-        before = active_backend()
-        with use_backend("numpy") as inner:
-            assert active_backend() is inner
-        assert active_backend() is before
-
-    def test_available_always_lists_numpy(self):
-        assert "numpy" in BACKENDS
 
 
 class TestNumpyFloatCache:
