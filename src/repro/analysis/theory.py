@@ -25,7 +25,7 @@ Theorem 14     bcast floor ``Ω(c²/k + D·min(c, Δ))``
 from __future__ import annotations
 
 from repro.model.errors import SpecError
-from repro.model.spec import ModelKnowledge, ceil_log2
+from repro.model.spec import ceil_log2
 
 __all__ = [
     "cseek_bound",
@@ -167,21 +167,3 @@ def broadcast_lower_bound(c: int, k: int, delta: int, diameter: int) -> float:
     else:
         game = complete_game_floor(c)
     return game + diameter * min(c, delta)
-
-
-def knowledge_bounds(knowledge: ModelKnowledge) -> dict[str, float]:
-    """All applicable bound shapes for one parameter set (diagnostics)."""
-    kn = knowledge
-    return {
-        "cseek": cseek_bound(kn.c, kn.k, kn.kmax, kn.max_degree),
-        "cgcast": cgcast_bound(
-            kn.c, kn.k, kn.kmax, kn.max_degree, kn.diameter
-        ),
-        "naive_discovery": naive_discovery_bound(kn.c, kn.k, kn.max_degree),
-        "naive_broadcast": naive_broadcast_bound(kn.c, kn.k, kn.diameter),
-        "zeng_discovery": zeng_discovery_bound(kn.c, kn.k, kn.max_degree),
-        "nd_lower": nd_lower_bound(kn.c, kn.k, kn.max_degree),
-        "broadcast_lower": broadcast_lower_bound(
-            kn.c, kn.k, kn.max_degree, kn.diameter
-        ),
-    }

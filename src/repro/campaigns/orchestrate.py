@@ -54,8 +54,8 @@ from repro.scenarios import (
     cache_extra,
     resolve_scenario,
     run_scenario,
-    spec_to_dict,
 )
+from repro.scenarios.spec import _sub_to_dict
 from repro.sim.backend import active_backend
 
 __all__ = ["CampaignResult", "EntryOutcome", "run_campaign", "run_id_for"]
@@ -178,7 +178,11 @@ def _plan_entries(
                     entry_seed,
                     extra=extra,
                 ),
-                precision=spec_to_dict(resolved).get("precision"),
+                precision=(
+                    None
+                    if resolved.precision is None
+                    else _sub_to_dict(resolved.precision)
+                ),
             )
         )
     return plans

@@ -39,8 +39,10 @@ parsed as JSON when possible (``--set assignment.c=16``,
 ``--set sweep.axes.m=[2,4]``, ``--set interference.model=poisson``).
 Paper scenarios (plan-based) accept the same dotted paths over their
 data fields — ``trials``, ``title``, ``description``,
-``experiment_id``, ``tags``, ``notes``, ``columns`` — and reject
-plan-owned paths with a clear error.
+``experiment_id``, ``tags``, ``notes``, ``columns``, ``precision`` —
+and reject plan-owned paths with a clear error. ``--precision`` streams
+any scenario, E1-E12 included, until its confidence targets are met
+(``run-scenario E7 --precision mean_rounds=5 --max-trials 512``).
 
 ``run-campaign`` executes a whole study — a registered campaign (see
 ``campaigns``) or a JSON campaign file: an ordered list of scenario
@@ -235,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
             "override a spec field (repeatable): --set assignment.c=16, "
             "--set sweep.axes.m=[2,4], --set interference.model=poisson, "
             "--set trials=8; values parse as JSON when possible (paper "
-            "scenarios accept their data fields only)"
+            "scenarios accept their data fields, precision included, "
+            "but not plan-owned paths such as sweep or protocol)"
         ),
     )
     run_scn.add_argument(

@@ -16,7 +16,6 @@ this package yields a fully populated registry.
 """
 
 from repro.scenarios.compile import (
-    LoweredPoint,
     Point,
     Run,
     RunContext,
@@ -56,7 +55,6 @@ from repro.scenarios.stock import STOCK_SPECS
 __all__ = [
     "AssignmentSpec",
     "InterferenceSpec",
-    "LoweredPoint",
     "PAPER_SPECS",
     "Point",
     "PrecisionSpec",

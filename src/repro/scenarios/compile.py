@@ -2,8 +2,9 @@
 
 A compiled scenario is a sequence of :class:`Point` objects, one per
 sweep point. Each point names one or more :class:`Run` entries (one
-trial callable, seed-stream label, master seed and trial count each)
-plus a reducer turning the collected outcomes into table rows.
+trial callable, seed-stream label, master seed, trial count and metric
+:class:`Column` tuple each) plus a reducer turning the runs' folded
+columns into table rows.
 
 Every scenario run, fixed or streamed, goes through one sweep driver:
 :func:`_execute` takes a list of runs with one seed list per run and
@@ -11,25 +12,24 @@ returns each run's outcomes. Under ``jobs="xbatch"`` it groups runs by
 cross-point signature into lockstep :func:`~repro.core.run_group`
 calls; every other run goes through the executor's ``run``. The
 fixed-trials path (:func:`run_scenario_spec`) calls it once per
-scenario, declarative sweep or paper plan alike, and then reduces each
-point in sweep order; the streaming path
-(:mod:`repro.scenarios.streaming`) calls it once per round. Per-trial
-seeds derive before execution, so a scenario runs serially, on a
-process pool (``jobs=N``), vectorized over the trial axis
-(``jobs="batch"``) or across points (``jobs="xbatch"``) with identical
-rows.
+scenario, folds each run's outcomes with :func:`fold_columns` and then
+reduces each point in sweep order; the streaming path
+(:mod:`repro.scenarios.streaming`) calls it once per round and folds
+the same columns online. Either way a reducer sees folded columns,
+never raw outcomes. Per-trial seeds derive before execution, so a
+scenario runs serially, on a process pool (``jobs=N``), vectorized over
+the trial axis (``jobs="batch"``) or across points (``jobs="xbatch"``)
+with identical rows.
 
-Declarative specs are lowered here too: the topology and assignment
-specs build the network, the interference spec becomes a spectrum
-environment (:mod:`repro.sim.environment` — Markov, Poisson or static
-primary-user traffic), and :func:`protocol_trial` turns the protocol
-kind and its params into one trial (built on the factories of
-:mod:`repro.scenarios.trials`) plus the kind's :class:`Column` tuple,
-which defines its metric columns once for both the fixed reducer
-(:func:`fold_columns`) and the streaming accumulator. Plan-based specs
-(the paper experiments) skip the lowering and supply Points directly,
-but take every protocol-kind run from :func:`protocol_trial` and fold
-its columns the same way.
+:func:`scenario_plan` is the one source of points for both paths.
+Declarative specs are lowered here: the topology and assignment specs
+build the network, the interference spec becomes a spectrum environment
+(:mod:`repro.sim.environment` — Markov, Poisson or static primary-user
+traffic), and :func:`protocol_trial` turns the protocol kind and its
+params into one trial (built on the factories of
+:mod:`repro.scenarios.trials`) plus the kind's :class:`Column` tuple.
+Plan-based specs (the paper experiments) supply their Points directly,
+taking every protocol-kind run from :func:`protocol_trial` as well.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from repro.sim import SpectrumEnvironment, make_environment
 
 __all__ = [
     "Column",
-    "LoweredPoint",
     "Point",
     "Run",
     "RunContext",
@@ -90,17 +89,21 @@ class Run:
     """One trial callable repeated over derived seeds in a sweep point.
 
     Attributes:
-        key: Name under which the outcome list reaches the reducer.
+        key: Name under which the run's folded columns reach the
+            reducer.
         trial: The trial callable (with ``run_batch`` when batchable).
         label: Seed-stream label (decorrelates runs sharing a seed).
         seed: Master seed for this run's trial-seed derivation.
-        trials: Optional trial-count override (default: the context's).
+        columns: The metric columns its outcomes fold into.
+        trials: Optional trial-count override (default: the context's);
+            on the streaming path it caps ``max_trials``.
     """
 
     key: str
     trial: Callable[[int], object]
     label: str
     seed: int
+    columns: Tuple[Column, ...]
     trials: Optional[int] = None
 
 
@@ -108,14 +111,16 @@ class Run:
 class Point:
     """One sweep point: runs to execute + a reducer producing rows.
 
-    ``reduce(ctx, outcomes)`` receives the per-run outcome lists keyed
-    by run name and returns the point's table rows (several experiments
-    emit more than one row per set of trials). Reducers may stash
-    derived values in ``ctx.extras`` for computed notes.
+    ``reduce(ctx, metrics)`` receives each run's folded metric columns
+    keyed by run name — :func:`fold_columns` on the fixed path,
+    :meth:`~repro.scenarios.streaming.PointAccumulator.metrics` on the
+    streaming path — and returns the point's table rows (several
+    experiments emit more than one row per set of trials). Reducers may
+    stash derived values in ``ctx.extras`` for computed notes.
     """
 
     runs: Sequence[Run]
-    reduce: Callable[["RunContext", Dict[str, list]], List[Row]]
+    reduce: Callable[["RunContext", Dict[str, Row]], List[Row]]
 
 
 @dataclass
@@ -127,28 +132,35 @@ class RunContext:
     extras: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
-class LoweredPoint:
-    """One declarative sweep point, lowered for both execution paths.
+def scenario_plan(spec: ScenarioSpec, ctx: RunContext) -> List[Point]:
+    """The spec's points (declarative lowering or its plan), checked.
 
-    ``columns`` are the point's metric columns, defined once per
-    protocol kind. The fixed-trials path runs :attr:`point` and its
-    reducer folds all outcomes with :func:`fold_columns`; the
-    streaming path (:mod:`repro.scenarios.streaming`) runs the same
-    ``point.runs[0]`` chunk by chunk and folds the same columns
-    online.
+    With a precision contract, every target must apply to some run of
+    the spec and every point must carry some target (see
+    :func:`_check_targets`), so a bad contract fails before any trial
+    runs.
     """
-
-    point: Point
-    params: Row
-    columns: Tuple[Column, ...]
-
-
-def scenario_plan(spec: ScenarioSpec, ctx: RunContext) -> Iterable[Point]:
-    """The spec's point sequence (declarative lowering or its plan)."""
     if spec.plan is not None:
-        return spec.plan(ctx)
-    return (lp.point for lp in lower_points(spec, ctx))
+        points = list(spec.plan(ctx))
+    else:
+        points = list(lower_points(spec, ctx))
+    if spec.precision is not None:
+        _check_targets(spec, points)
+    return points
+
+
+def scenario_table(
+    spec: ScenarioSpec, rows: List[Row], ctx: RunContext
+) -> ExperimentTable:
+    """The spec's table over its rows, with notes computed from them."""
+    notes = spec.notes(rows, ctx) if callable(spec.notes) else spec.notes
+    return ExperimentTable(
+        experiment_id=spec.table_id,
+        title=spec.title,
+        rows=rows,
+        notes=notes,
+        columns=spec.columns,
+    )
 
 
 def run_scenario_spec(
@@ -175,23 +187,19 @@ def run_scenario_spec(
     )
     # The whole sweep executes as one batch of points, so xbatch can
     # group across it; each point then reduces in sweep order.
-    points = list(scenario_plan(spec, ctx))
+    points = scenario_plan(spec, ctx)
     runs = [run for point in points for run in point.runs]
     seed_lists = [_trial_seeds(run, ctx) for run in runs]
-    outcomes = iter(_execute(runs, seed_lists, executor))
+    folded = (
+        fold_columns(run.columns, outs)
+        for run, outs in zip(runs, _execute(runs, seed_lists, executor))
+    )
     rows: List[Row] = []
     for point in points:
         rows.extend(
-            point.reduce(ctx, {run.key: next(outcomes) for run in point.runs})
+            point.reduce(ctx, {run.key: next(folded) for run in point.runs})
         )
-    notes = spec.notes(rows, ctx) if callable(spec.notes) else spec.notes
-    return ExperimentTable(
-        experiment_id=spec.table_id,
-        title=spec.title,
-        rows=rows,
-        notes=notes,
-        columns=spec.columns,
-    )
+    return scenario_table(spec, rows, ctx)
 
 
 def _trial_seeds(run: Run, ctx: RunContext) -> List[int]:
@@ -380,8 +388,8 @@ def _point_row(spec: ScenarioSpec, params: Row, metrics: Row) -> Row:
     return {**params, **metrics}
 
 
-def _check_columns(spec: ScenarioSpec, columns: Sequence[Column]) -> None:
-    """Fail before execution on metrics or targets no column provides."""
+def _check_metrics(spec: ScenarioSpec, columns: Sequence[Column]) -> None:
+    """Fail before execution on requested metrics no column provides."""
     names = [col.name for col in columns]
     unknown = set(spec.metrics or ()) - set(names)
     if unknown:
@@ -389,15 +397,42 @@ def _check_columns(spec: ScenarioSpec, columns: Sequence[Column]) -> None:
             f"scenario {spec.name!r} requests unknown metrics: "
             f"{', '.join(sorted(unknown))}; available: {', '.join(names)}"
         )
-    if spec.precision is None:
-        return
-    targetable = [c.name for c in columns if c.kind in TARGETABLE_KINDS]
-    for metric in spec.precision.targets:
-        if metric not in targetable:
+
+
+def _check_targets(spec: ScenarioSpec, points: Sequence[Point]) -> None:
+    """Fail before execution on precision targets no run can stop on.
+
+    A target applies to each run that carries it as a rate or mean
+    column. A target that applies to no run of the spec fails, and so
+    does a point none of whose runs any target applies to.
+    """
+    targets = set(spec.precision.targets)
+    carried = [
+        {
+            col.name
+            for run in point.runs
+            for col in run.columns
+            if col.kind in TARGETABLE_KINDS
+        }
+        for point in points
+    ]
+    everywhere = set().union(*carried)
+    missing = sorted(targets - everywhere)
+    if missing:
+        raise HarnessError(
+            f"scenario {spec.name!r}: precision target "
+            f"{', '.join(map(repr, missing))} is not a rate or mean "
+            "column of any run; targetable: "
+            f"{', '.join(sorted(everywhere)) or 'none'}"
+        )
+    for idx, (point, names) in enumerate(zip(points, carried)):
+        if not names & targets:
+            labels = ", ".join(run.label for run in point.runs)
             raise HarnessError(
-                f"scenario {spec.name!r}: precision target {metric!r} is "
-                f"not CI-targetable for protocol {spec.protocol.kind!r}; "
-                f"targetable: {', '.join(targetable) or 'none'}"
+                f"scenario {spec.name!r}, point {idx} (runs {labels}): "
+                "no run carries a precision target "
+                f"({', '.join(sorted(targets))}); targetable here: "
+                f"{', '.join(sorted(names)) or 'none'}"
             )
 
 
@@ -632,11 +667,13 @@ def protocol_trial(
 
 def _lower_point(
     spec: ScenarioSpec, ctx: RunContext, idx: int, params: Row
-) -> LoweredPoint:
+) -> Point:
     """One declarative sweep point: scope, network, environment, trial.
 
-    A protocol param that its kind rejects fails here, naming the
-    scenario and the sweep point, before any trial runs.
+    A protocol param that its kind rejects, or a requested metric no
+    column provides, fails here, naming the scenario (and for a param
+    the sweep point), before any trial runs. The point's one row is its
+    sweep params, then its folded columns.
     """
     scope: Dict[str, object] = dict(params)
     scope.update(seed=ctx.seed, point=idx, pseed=ctx.seed + idx)
@@ -656,36 +693,27 @@ def _lower_point(
             f"invalid {kind} params: {exc}"
         ) from exc
 
-    def reduce(ctx, outcomes):
-        metrics = fold_columns(columns, outcomes[kind])
-        return [_point_row(spec, params, metrics)]
+    _check_metrics(spec, columns)
 
-    return LoweredPoint(
-        point=Point(
-            runs=[Run(kind, trial, f"{spec.name}[{idx}]", ctx.seed)],
-            reduce=reduce,
-        ),
-        params=params,
-        columns=columns,
+    def reduce(ctx, metrics):
+        return [_point_row(spec, params, metrics[kind])]
+
+    return Point(
+        [Run(kind, trial, f"{spec.name}[{idx}]", ctx.seed, columns)], reduce
     )
 
 
-def lower_points(
-    spec: ScenarioSpec, ctx: RunContext
-) -> Iterable[LoweredPoint]:
-    """Lower a declarative spec's sweep into :class:`LoweredPoint`\\ s.
+def lower_points(spec: ScenarioSpec, ctx: RunContext) -> Iterable[Point]:
+    """Lower a declarative spec's sweep into :class:`Point`\\ s.
 
-    Both execution paths lower through here (one :func:`_lower_point`
-    call per sweep point), so they run identical workloads and differ
-    only in how outcomes aggregate. Each point's ``metrics`` selection
-    and precision targets are checked against its columns as it
-    lowers, so a bad name fails before any trial runs.
+    One :func:`_lower_point` call per sweep point; each point's
+    ``metrics`` selection is checked against its columns as it lowers,
+    so a bad name fails before any trial runs.
 
     Raises:
         HarnessError: for plan-based specs, which have no declarative
             lowering; for a protocol param its kind rejects; for a
-            requested metric no column provides; for a precision target
-            that is not a rate or mean column.
+            requested metric no column provides.
     """
     if spec.plan is not None:
         raise HarnessError(
@@ -694,7 +722,4 @@ def lower_points(
         )
     points = spec.sweep.points() if spec.sweep is not None else [{}]
     for idx, params in enumerate(points):
-        lowered = _lower_point(spec, ctx, idx, params)
-        _check_columns(spec, lowered.columns)
-        yield lowered
-
+        yield _lower_point(spec, ctx, idx, params)

@@ -8,14 +8,19 @@ table is row-identical to the pre-scenario implementation at a fixed
 ``(trials, seed)`` — pinned against golden tables in
 ``tests/test_scenarios_paper.py``, column order included.
 
-Every COUNT, CSEEK, CKSEEK, CGCAST and naive-baseline run comes from
-:func:`~repro.scenarios.compile.protocol_trial`, the same trial and
-metric columns a declarative sweep point of that kind lowers to; a
-plan maps the folded columns (:func:`~repro.scenarios.compile.
-fold_columns`) to its table headers (``success`` -> ``cseek_success``).
-Only experiment-specific outcomes keep their own trial code: E3's
-part-one split, E5's coloring, E7/E8's hitting games, E10's per-class
-rates under starved budgets and E11's amortized broadcasts.
+Every run carries its metric :class:`~repro.scenarios.compile.Column`
+tuple, and every reducer reads folded columns, never raw outcomes. So
+a paper spec runs on the fixed path or streams under a precision
+contract (``run-scenario E7 --precision mean_rounds=5``) like any
+declarative spec. COUNT, CSEEK, CKSEEK, CGCAST and naive-baseline runs
+come from :func:`~repro.scenarios.compile.protocol_trial`; only
+experiment-specific outcomes keep their own trial code and columns:
+E3's part-one split, E5's coloring, E7/E8's hitting games, E10's
+per-class rates under starved budgets and E11's amortized broadcasts.
+Most points map folded columns to table headers through
+:func:`_protocol_point` (``success`` -> ``cseek_success``); only E6's
+per-hop cells, E10's starved ``bias(high/low)`` and E11's three budget
+rows need a reducer of their own.
 
 The experiment *defaults* (trials per configuration) and the notes
 interpreting each table against the paper's claim live here too; run
@@ -25,6 +30,7 @@ one with ``run_scenario(paper_spec("E2"), ...)`` (the CLI's ``run``).
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis import (
@@ -36,8 +42,6 @@ from repro.analysis import (
     hitting_game_floor,
     naive_broadcast_bound,
     naive_discovery_bound,
-    success_rate,
-    summarize,
     zeng_discovery_bound,
 )
 from repro.baselines import (
@@ -73,7 +77,6 @@ from repro.scenarios.compile import (
     Point,
     Run,
     RunContext,
-    fold_columns,
     protocol_trial,
 )
 from repro.scenarios.registry import register
@@ -87,7 +90,7 @@ Row = Dict[str, object]
 
 
 # ----------------------------------------------------------------------
-# Protocol runs: one trial definition per protocol kind
+# Runs and points: every reducer reads folded columns
 # ----------------------------------------------------------------------
 def _protocol_run(
     key: str,
@@ -98,34 +101,34 @@ def _protocol_run(
     params: Optional[Row] = None,
     environment=None,
     trials: Optional[int] = None,
-) -> Tuple[Run, Tuple[Column, ...]]:
-    """A run of :func:`protocol_trial`'s ``kind`` trial, with its columns."""
+) -> Run:
+    """A run of :func:`protocol_trial`'s ``kind`` trial and its columns."""
     trial, columns = protocol_trial(kind, params or {}, net, environment)
-    return Run(key, trial, label, seed, trials), columns
+    return Run(key, trial, label, seed, columns, trials)
 
 
 def _protocol_point(
-    runs: Sequence[Tuple[Run, Tuple[Column, ...]]],
+    runs: Sequence[Run],
     head: Row,
     headers: Dict[str, Tuple[str, str]],
     tail: Optional[Row] = None,
 ) -> Point:
-    """A one-row point over protocol runs.
+    """A one-row point over its runs' folded columns.
 
     The row is ``head``, then each table header's ``(run key, column)``
-    folded over that run's outcomes, then ``tail``.
+    cell, then ``tail``.
     """
-    columns = {run.key: cols for run, cols in runs}
 
-    def reduce(ctx, outcomes) -> List[Row]:
-        folded = {
-            key: fold_columns(cols, outcomes[key])
-            for key, cols in columns.items()
-        }
-        picked = {h: folded[key][col] for h, (key, col) in headers.items()}
+    def reduce(ctx, metrics) -> List[Row]:
+        picked = {h: metrics[key][col] for h, (key, col) in headers.items()}
         return [{**head, **picked, **(tail or {})}]
 
-    return Point([run for run, _ in runs], reduce)
+    return Point(list(runs), reduce)
+
+
+def _ok(pick):
+    """A column pick that skips failed (None) outcomes."""
+    return lambda outcome: None if outcome is None else pick(outcome)
 
 
 # ----------------------------------------------------------------------
@@ -292,22 +295,48 @@ def _notes_e2(rows: List[Row], ctx: RunContext) -> str:
 # ----------------------------------------------------------------------
 # E3 — part-one vs part-two discovery split (Lemmas 2 and 3)
 # ----------------------------------------------------------------------
-def _e3_fraction_found(result, truth, total_pairs, n):
-    part1 = sum(
-        len(result.discovered_part_one[u] & set(truth[u]))
-        for u in range(n)
+# Outcomes are ``(part-one fraction, final fraction)`` of true pairs.
+_E3_COLUMNS = (
+    Column("part1_fraction", "mean", itemgetter(0)),
+    Column("final_fraction", "mean", itemgetter(1)),
+)
+
+
+def _e3_point(
+    workload: str, listener: str, net, label: str, seed: int, **budget
+) -> Point:
+    """One E3 row: the share of true pairs found by part one and overall."""
+    truth = net.true_neighbor_sets()
+    total_pairs = sum(len(s) for s in truth)
+
+    def fractions(result):
+        part1 = sum(
+            len(result.discovered_part_one[u] & set(nbrs))
+            for u, nbrs in enumerate(truth)
+        )
+        both = sum(
+            len(result.discovered[u] & set(nbrs))
+            for u, nbrs in enumerate(truth)
+        )
+        return part1 / total_pairs, both / total_pairs
+
+    trial = cseek_trial(lambda s: CSeek(net, seed=s, **budget), fractions)
+    return _protocol_point(
+        [Run("cseek", trial, label, seed, _E3_COLUMNS)],
+        {
+            "workload": workload,
+            "part2_listener": listener,
+            "pairs": total_pairs,
+        },
+        {col.name: ("cseek", col.name) for col in _E3_COLUMNS},
     )
-    both = sum(
-        len(result.discovered[u] & set(truth[u])) for u in range(n)
-    )
-    return part1 / total_pairs, both / total_pairs
 
 
 def _plan_e3(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     # (a) full budgets: Lemma 2 says part one alone already finds
     # everything when channels are un-crowded.
-    cases = [
+    for name, net in (
         (
             "full budget, sparse (exact k, regular)",
             build_network(
@@ -320,74 +349,18 @@ def _plan_e3(ctx: RunContext) -> Iterable[Point]:
                 star(25), c=6, k=2, seed=seed + 2, kind="global_core"
             ),
         ),
-    ]
-    for name, net in cases:
-        truth = net.true_neighbor_sets()
-        total_pairs = sum(len(s) for s in truth)
-        trial = cseek_trial(
-            lambda s, net=net: CSeek(net, seed=s),
-            lambda result, truth=truth, total_pairs=total_pairs, n=net.n: (
-                _e3_fraction_found(result, truth, total_pairs, n)
-            ),
-        )
-
-        def reduce(ctx, outcomes, name=name, total_pairs=total_pairs):
-            results = outcomes["cseek"]
-            return [
-                {
-                    "workload": name,
-                    "part2_listener": "weighted",
-                    "pairs": total_pairs,
-                    "part1_fraction": summarize(
-                        [a for a, _ in results]
-                    ).mean,
-                    "final_fraction": summarize(
-                        [b for _, b in results]
-                    ).mean,
-                }
-            ]
-
-        yield Point([Run("cseek", trial, f"e3-{name}", seed)], reduce)
+    ):
+        yield _e3_point(name, "weighted", net, f"e3-{name}", seed)
     # (b) starved part one on a heavily crowded star: part two must
     # rescue the remaining pairs, and its density-weighted listener is
     # what makes the rescue fast (Lemma 3's mechanism).
     net = build_network(
         star(65), c=6, k=2, seed=seed + 3, kind="global_core"
     )
-    truth = net.true_neighbor_sets()
-    total_pairs = sum(len(s) for s in truth)
     for policy in ("weighted", "uniform"):
-        trial = cseek_trial(
-            lambda s, policy=policy: CSeek(
-                net,
-                seed=s,
-                part1_steps=40,
-                part2_steps=150,
-                part2_listener=policy,
-            ),
-            lambda result: _e3_fraction_found(
-                result, truth, total_pairs, net.n
-            ),
-        )
-
-        def reduce(ctx, outcomes, policy=policy, total_pairs=total_pairs):
-            results = outcomes["cseek"]
-            return [
-                {
-                    "workload": "starved part one, crowded star",
-                    "part2_listener": policy,
-                    "pairs": total_pairs,
-                    "part1_fraction": summarize(
-                        [a for a, _ in results]
-                    ).mean,
-                    "final_fraction": summarize(
-                        [b for _, b in results]
-                    ).mean,
-                }
-            ]
-
-        yield Point(
-            [Run("cseek", trial, f"e3b-{policy}", seed + 5)], reduce
+        yield _e3_point(
+            "starved part one, crowded star", policy, net, f"e3b-{policy}",
+            seed + 5, part1_steps=40, part2_steps=150, part2_listener=policy,
         )
 
 
@@ -422,6 +395,13 @@ def _plan_e4(ctx: RunContext) -> Iterable[Point]:
 # ----------------------------------------------------------------------
 # E5 — Luby line-graph coloring (Lemma 8)
 # ----------------------------------------------------------------------
+# Outcomes are ``(valid, phases_used)``.
+_E5_COLUMNS = (
+    Column("valid_rate", "rate", itemgetter(0)),
+    Column("mean_phases", "mean", itemgetter(1)),
+)
+
+
 def _plan_e5(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     for n in (8, 16, 32, 64, 128):
@@ -437,21 +417,12 @@ def _plan_e5(ctx: RunContext) -> Iterable[Point]:
             )
             return valid, result.phases_used
 
-        def reduce(ctx, outcomes, n=n, lg=lg):
-            results = outcomes["coloring"]
-            return [
-                {
-                    "n": n,
-                    "edges": lg.num_virtual,
-                    "valid_rate": success_rate([ok for ok, _ in results]),
-                    "mean_phases": summarize(
-                        [p for _, p in results]
-                    ).mean,
-                    "lg_n": math.ceil(math.log2(n)),
-                }
-            ]
-
-        yield Point([Run("coloring", trial, f"e5-{n}", seed + n)], reduce)
+        yield _protocol_point(
+            [Run("coloring", trial, f"e5-{n}", seed + n, _E5_COLUMNS)],
+            {"n": n, "edges": lg.num_virtual},
+            {col.name: ("coloring", col.name) for col in _E5_COLUMNS},
+            {"lg_n": math.ceil(math.log2(n))},
+        )
 
 
 def _notes_e5(rows: List[Row], ctx: RunContext) -> str:
@@ -471,9 +442,7 @@ def _notes_e5(rows: List[Row], ctx: RunContext) -> str:
 # ----------------------------------------------------------------------
 # E6 — CGCAST scaling vs naive broadcast (Theorem 9)
 # ----------------------------------------------------------------------
-def _broadcast_runs(
-    net, label: str, seed: int
-) -> List[Tuple[Run, Tuple[Column, ...]]]:
+def _broadcast_runs(net, label: str, seed: int) -> List[Run]:
     """E6/E9's paired runs: CGCAST and naive broadcast from node 0."""
     return [
         _protocol_run("cg", "cgcast", f"{label}cg", seed, net),
@@ -487,14 +456,9 @@ def _plan_e6(ctx: RunContext) -> Iterable[Point]:
         graph = path_of_cliques(num_cliques, 4)
         net = build_network(graph, c=8, k=1, seed=seed + num_cliques)
         kn = net.knowledge()
-        runs = _broadcast_runs(net, "e6", seed + num_cliques)
-        columns = {run.key: cols for run, cols in runs}
 
-        def reduce(
-            ctx, outcomes, num_cliques=num_cliques, kn=kn, columns=columns
-        ):
-            cg = fold_columns(columns["cg"], outcomes["cg"])
-            nv = fold_columns(columns["nv"], outcomes["nv"])
+        def reduce(ctx, metrics, num_cliques=num_cliques, kn=kn):
+            cg, nv = metrics["cg"], metrics["nv"]
             cg_mean = cg["mean_dissemination"]
             nv_mean = nv["mean_completion"]
             return [
@@ -522,7 +486,7 @@ def _plan_e6(ctx: RunContext) -> Iterable[Point]:
                 }
             ]
 
-        yield Point([run for run, _ in runs], reduce)
+        yield Point(_broadcast_runs(net, "e6", seed + num_cliques), reduce)
 
 
 def _notes_e6(rows: List[Row], ctx: RunContext) -> str:
@@ -559,77 +523,76 @@ def _notes_e6(rows: List[Row], ctx: RunContext) -> str:
 # ----------------------------------------------------------------------
 # E7 — hitting-game lower bounds (Lemmas 10 and 12)
 # ----------------------------------------------------------------------
+# Game outcomes are the rounds the player took to win.
+_GAME_COLUMNS = (
+    Column("mean_rounds", "mean", int),
+    Column("median_rounds", "median", int),
+)
+
+
+def _game_run(
+    label: str, seed: int, c: int, k: int, make_player, max_rounds=None,
+    referee_offset: int = 0,
+) -> Run:
+    """A run of one ``(c, k)`` hitting game per trial seed ``s``.
+
+    The referee draws from ``s + referee_offset`` and the player is
+    ``make_player(s)``; a player that does not win within
+    ``max_rounds`` (default: :func:`play`'s) fails the trial.
+    """
+
+    def trial(s: int) -> int:
+        game = HittingGame(c=c, k=k, seed=s + referee_offset)
+        transcript = play(game, make_player(s), max_rounds=max_rounds)
+        if not transcript.won:
+            raise HarnessError("player failed to win within the round cap")
+        return transcript.rounds
+
+    return Run("game", trial, label, seed, _GAME_COLUMNS)
+
+
+_E7_HEADERS = {col.name: ("game", col.name) for col in _GAME_COLUMNS}
+
+
 def _plan_e7(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     for c in (8, 16, 32):
         for k in (1, 2, 4):
-            for player_name, factory in (
-                ("fresh", lambda s: FreshRandomPlayer(seed=s)),
-                ("uniform", lambda s: UniformRandomPlayer(seed=s)),
+            for player_name, player in (
+                ("fresh", FreshRandomPlayer),
+                ("uniform", UniformRandomPlayer),
             ):
-
-                def trial(s: int, c=c, k=k, factory=factory) -> int:
-                    game = HittingGame(c=c, k=k, seed=s)
-                    transcript = play(
-                        game, factory(s + 1), max_rounds=50 * c * c
-                    )
-                    if not transcript.won:
-                        raise HarnessError(
-                            "player failed within the generous cap"
-                        )
-                    return transcript.rounds
-
-                def reduce(ctx, outcomes, c=c, k=k, player_name=player_name):
-                    rounds = outcomes["game"]
-                    floor = (
-                        hitting_game_floor(c, k) if k <= c / 2 else None
-                    )
-                    return [
-                        {
-                            "c": c,
-                            "k": k,
-                            "player": player_name,
-                            "mean_rounds": summarize(rounds).mean,
-                            "median_rounds": summarize(rounds).median,
-                            "floor(c^2/8k)": floor,
-                            "c^2/k": c * c / k,
-                        }
-                    ]
-
-                yield Point(
-                    [
-                        Run(
-                            "game",
-                            trial,
-                            f"e7-{player_name}",
-                            seed + c * 10 + k,
-                        )
-                    ],
-                    reduce,
+                run = _game_run(
+                    f"e7-{player_name}",
+                    seed + c * 10 + k,
+                    c,
+                    k,
+                    lambda s, player=player: player(seed=s + 1),
+                    max_rounds=50 * c * c,
+                )
+                yield _protocol_point(
+                    [run],
+                    {"c": c, "k": k, "player": player_name},
+                    _E7_HEADERS,
+                    {
+                        "floor(c^2/8k)": (
+                            hitting_game_floor(c, k) if k <= c / 2 else None
+                        ),
+                        "c^2/k": c * c / k,
+                    },
                 )
     # Complete game (k = c): Lemma 12.
     for c in (9, 27):
-
-        def trial(s: int, c=c) -> int:
-            game = HittingGame(c=c, k=c, seed=s)
-            transcript = play(game, FreshRandomPlayer(seed=s + 1))
-            return transcript.rounds
-
-        def reduce(ctx, outcomes, c=c):
-            rounds = outcomes["game"]
-            return [
-                {
-                    "c": c,
-                    "k": c,
-                    "player": "fresh(complete)",
-                    "mean_rounds": summarize(rounds).mean,
-                    "median_rounds": summarize(rounds).median,
-                    "floor(c^2/8k)": complete_game_floor(c),
-                    "c^2/k": float(c),
-                }
-            ]
-
-        yield Point([Run("game", trial, "e7-complete", seed + c)], reduce)
+        run = _game_run(
+            "e7-complete", seed + c, c, c,
+            lambda s: FreshRandomPlayer(seed=s + 1),
+        )
+        yield _protocol_point(
+            [run],
+            {"c": c, "k": c, "player": "fresh(complete)"},
+            _E7_HEADERS,
+            {"floor(c^2/8k)": complete_game_floor(c), "c^2/k": float(c)},
+        )
 
 
 # ----------------------------------------------------------------------
@@ -637,32 +600,24 @@ def _plan_e7(ctx: RunContext) -> Iterable[Point]:
 # ----------------------------------------------------------------------
 def _plan_e8(ctx: RunContext) -> Iterable[Point]:
     trials, seed = ctx.trials, ctx.seed
+    k = 2
     for c in (8, 16, 32):
-        k = 2
-
-        def trial(s: int, c=c, k=k) -> int:
-            player = CSeekReductionPlayer(k=k, seed=s)
-            game = HittingGame(c=c, k=k, seed=s + 17)
-            budget = 4 * player.schedule_slots(c)
-            transcript = play(game, player, max_rounds=budget)
-            if not transcript.won:
-                raise HarnessError("reduction player failed to meet")
-            return transcript.rounds
-
-        def reduce(ctx, outcomes, c=c, k=k):
-            rounds = outcomes["game"]
-            player = CSeekReductionPlayer(k=k, seed=0)
-            return [
-                {
-                    "case": "reduction(CSEEK)",
-                    "x": c,
-                    "mean_rounds_to_meet": summarize(rounds).mean,
-                    "game_floor": hitting_game_floor(c, k),
-                    "cseek_schedule": player.schedule_slots(c),
-                }
-            ]
-
-        yield Point([Run("game", trial, f"e8-{c}", seed + c)], reduce)
+        schedule = CSeekReductionPlayer(k=k).schedule_slots(c)
+        run = _game_run(
+            f"e8-{c}", seed + c, c, k,
+            lambda s: CSeekReductionPlayer(k=k, seed=s),
+            max_rounds=4 * schedule,
+            referee_offset=17,
+        )
+        yield _protocol_point(
+            [run],
+            {"case": "reduction(CSEEK)", "x": c},
+            {"mean_rounds_to_meet": ("game", "mean_rounds")},
+            {
+                "game_floor": hitting_game_floor(c, k),
+                "cseek_schedule": schedule,
+            },
+        )
     # Omega(Delta): discovery completion on stars is at least Delta.
     for delta in (4, 8, 16):
         net = build_network(
@@ -714,6 +669,14 @@ def _plan_e9(ctx: RunContext) -> Iterable[Point]:
 # ----------------------------------------------------------------------
 # E10 — heterogeneity + part-two ablation (Section 7)
 # ----------------------------------------------------------------------
+# Starved-budget outcomes are ``(low-overlap, high-overlap)`` found
+# fractions of each pair class's ordered pairs.
+_E10_COLUMNS = (
+    Column("low_overlap_found", "mean", itemgetter(0)),
+    Column("high_overlap_found", "mean", itemgetter(1)),
+)
+
+
 def _plan_e10(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     # (a) under starved budgets, discovery probability splits by pair
@@ -750,10 +713,9 @@ def _plan_e10(ctx: RunContext) -> Iterable[Point]:
             pair_rates,
         )
 
-        def reduce(ctx, outcomes, kmax=kmax):
-            results = outcomes["cseek"]
-            lo_mean = summarize([a for a, _ in results]).mean
-            hi_mean = summarize([b for _, b in results]).mean
+        def reduce(ctx, metrics, kmax=kmax):
+            lo_mean = metrics["cseek"]["low_overlap_found"]
+            hi_mean = metrics["cseek"]["high_overlap_found"]
             return [
                 {
                     "case": f"starved budget, kmax/k={kmax}",
@@ -768,7 +730,8 @@ def _plan_e10(ctx: RunContext) -> Iterable[Point]:
             ]
 
         yield Point(
-            [Run("cseek", trial, f"e10h{kmax}", seed + kmax)], reduce
+            [Run("cseek", trial, f"e10h{kmax}", seed + kmax, _E10_COLUMNS)],
+            reduce,
         )
     # (b) full budgets: the schedule formula stretches with kmax/k and
     # full discovery still succeeds (Theorem 4's budget absorbs the gap).
@@ -800,6 +763,40 @@ def _plan_e10(ctx: RunContext) -> Iterable[Point]:
 # ----------------------------------------------------------------------
 # E11 — amortized repeated broadcast (extension; Theorem 9's regime)
 # ----------------------------------------------------------------------
+_E11_MESSAGES = 16
+_E11_BUDGETS = (1, 4, _E11_MESSAGES)
+# Outcomes are ``(setup_slots, per-message CGCAST slots, per-message
+# naive slots)``, or None for a trial whose broadcasts failed; the mean
+# columns skip those.
+_E11_COLUMNS = (
+    *(
+        column
+        for budget in _E11_BUDGETS
+        for column in (
+            Column(
+                f"cgcast_total_{budget}",
+                "mean",
+                _ok(lambda o, b=budget: o[0] + sum(o[1][:b])),
+            ),
+            Column(
+                f"naive_total_{budget}",
+                "mean",
+                _ok(lambda o, b=budget: sum(o[2][:b])),
+            ),
+        )
+    ),
+    Column("setup", "mean", _ok(itemgetter(0))),
+    Column(
+        "dissemination_per_message",
+        "mean",
+        _ok(lambda o: sum(o[1][1:]) / max(1, len(o[1]) - 1)),
+    ),
+    Column(
+        "naive_per_message", "mean", _ok(lambda o: sum(o[2]) / len(o[2]))
+    ),
+)
+
+
 def _plan_e11(ctx: RunContext) -> Iterable[Point]:
     seed = ctx.seed
     # c^2/k = 256 >> Delta = 4: the regime where the per-hop advantage
@@ -807,7 +804,6 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
     graph = path_of_cliques(8, 4)
     net = build_network(graph, c=16, k=1, seed=seed + 1)
     kn = net.knowledge()
-    num_messages = 16
 
     def run_batch(seeds):
         # The whole amortized regime in lockstep: one CGCastBatch run
@@ -824,7 +820,7 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
             if setup.success:
                 diss0 = setup.ledger.get("dissemination")
                 state[b] = (setup.total_slots - diss0, [diss0], [])
-        for msg in range(1, num_messages):
+        for msg in range(1, _E11_MESSAGES):
             alive = sorted(state)
             if not alive:
                 break
@@ -859,19 +855,14 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
 
     trial.run_batch = run_batch
 
-    def reduce(ctx, outcomes):
-        ok = [o for o in outcomes["amortized"] if o]
-        if not ok:
+    def reduce(ctx, metrics):
+        amortized = metrics["amortized"]
+        if amortized["setup"] is None:
             raise HarnessError("no successful E11 trial")
         rows: List[Row] = []
-        for budget in (1, 4, num_messages):
-            cg_totals = []
-            nv_totals = []
-            for setup_slots, per_message, naive_pm in ok:
-                cg_totals.append(setup_slots + sum(per_message[:budget]))
-                nv_totals.append(sum(naive_pm[:budget]))
-            cg_mean = summarize(cg_totals).mean
-            nv_mean = summarize(nv_totals).mean
+        for budget in _E11_BUDGETS:
+            cg_mean = amortized[f"cgcast_total_{budget}"]
+            nv_mean = amortized[f"naive_total_{budget}"]
             rows.append(
                 {
                     "messages": budget,
@@ -885,20 +876,18 @@ def _plan_e11(ctx: RunContext) -> Iterable[Point]:
         # Amortization point estimate for the notes:
         # setup / (naive per msg - diss per msg).
         ctx.extras["e11"] = {
-            "setup_mean": summarize([o[0] for o in ok]).mean,
-            "diss_pm": summarize(
-                [sum(o[1][1:]) / max(1, len(o[1]) - 1) for o in ok]
-            ).mean,
-            "naive_pm": summarize(
-                [sum(o[2]) / len(o[2]) for o in ok]
-            ).mean,
-            "diameter": net.knowledge().diameter,
+            "setup_mean": amortized["setup"],
+            "diss_pm": amortized["dissemination_per_message"],
+            "naive_pm": amortized["naive_per_message"],
+            "diameter": kn.diameter,
             "max_degree": kn.max_degree,
             "c2k": kn.c * kn.c // kn.k,
         }
         return rows
 
-    yield Point([Run("amortized", trial, "trials", seed)], reduce)
+    yield Point(
+        [Run("amortized", trial, "trials", seed, _E11_COLUMNS)], reduce
+    )
 
 
 def _notes_e11(rows: List[Row], ctx: RunContext) -> str:

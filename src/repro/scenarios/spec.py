@@ -547,9 +547,8 @@ class ScenarioSpec:
         metrics: Optional subset of the protocol's stock metric columns
             to report (sweep-axis columns always appear).
         precision: Optional CI-targeted stopping contract
-            (:class:`PrecisionSpec`). A spec carrying one runs through
-            the streaming path; only declarative specs qualify (the
-            plan-based paper specs stay pinned to fixed trial counts).
+            (:class:`PrecisionSpec`). A spec carrying one, declarative
+            or plan-based, runs through the streaming path.
         notes: Table notes — a string, or a callable
             ``(rows, ctx) -> str`` for notes computed from results.
         columns: Optional explicit column order.
@@ -585,13 +584,6 @@ class ScenarioSpec:
         if self.plan is None and self.protocol is None:
             raise HarnessError(
                 f"scenario {self.name!r} needs a protocol spec or a plan"
-            )
-        if self.precision is not None and self.plan is not None:
-            raise HarnessError(
-                f"scenario {self.name!r} is code-defined (plan-based): "
-                "CI-targeted stopping (precision) requires the "
-                "declarative lowering; paper specs stay pinned to fixed "
-                "trial counts"
             )
         induces_graph = (
             self.assignment is not None
@@ -802,8 +794,9 @@ def spec_digest(spec: ScenarioSpec) -> str:
     parameter change (a ``--set`` override included) changes the digest
     — callable notes are digested by name only, never at the cost of
     dropping the parameters. Plan-based specs digest their identity
-    only: their behavior lives in code, which the result cache already
-    folds in as the code version.
+    and their overridable data fields, the precision block included:
+    their behavior lives in code, which the result cache already folds
+    in as the code version.
     """
     if spec.is_declarative:
         if callable(spec.notes):
@@ -832,6 +825,11 @@ def spec_digest(spec: ScenarioSpec) -> str:
             ),
             "columns": (
                 list(spec.columns) if spec.columns is not None else None
+            ),
+            "precision": (
+                _sub_to_dict(spec.precision)
+                if spec.precision is not None
+                else None
             ),
         }
     canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -874,6 +872,7 @@ _PLAN_DATA_FIELDS = (
     "tags",
     "notes",
     "columns",
+    "precision",
 )
 
 
@@ -886,9 +885,10 @@ def _apply_plan_overrides(
     dict form, JSON value parsing) restricted to the fields that are
     data even when the workload itself is code — so
     ``--set trials=8``, ``--set experiment_id=E12-jammed`` or
-    ``--set notes="..."`` work on E1-E12, while sweep/topology/
-    protocol paths are rejected with an explanation instead of
-    silently ignored.
+    ``--set notes="..."`` work on E1-E12, as do
+    ``--set precision.targets.mean_rounds=5`` and the CLI's
+    ``--precision`` flags, while sweep/topology/protocol paths are
+    rejected with an explanation instead of silently ignored.
     """
     tree: Dict[str, object] = {}
     for path in overrides:
@@ -902,6 +902,8 @@ def _apply_plan_overrides(
             )
         if root not in tree:
             value = getattr(spec, root)
+            if isinstance(value, PrecisionSpec):
+                value = _sub_to_dict(value)
             tree[root] = list(value) if isinstance(value, tuple) else value
     for path, raw in overrides.items():
         _set_path(tree, path, _parse_override_value(raw))
@@ -913,6 +915,10 @@ def _apply_plan_overrides(
                 f"tags must be a list, got {tree['tags']!r}"
             )
         tree["tags"] = tuple(tree["tags"])
+    if tree.get("precision") is not None:
+        tree["precision"] = _build_sub(
+            PrecisionSpec, tree["precision"], "precision"
+        )
     return replace(spec, **tree)
 
 
@@ -929,8 +935,8 @@ def apply_overrides(
     Plan-based (paper) scenarios accept the same dotted-path syntax
     over their data fields only (``trials``, ``title``,
     ``description``, ``experiment_id``, ``tags``, ``notes``,
-    ``columns``); paths into their plan-owned structure (sweep,
-    topology, protocol, ...) are rejected with a clear error.
+    ``columns``, ``precision``); paths into their plan-owned structure
+    (sweep, topology, protocol, ...) are rejected with a clear error.
     """
     if not overrides:
         return spec

@@ -1,48 +1,53 @@
-"""CI-targeted streaming execution of declarative scenarios.
+"""CI-targeted streaming execution of scenarios.
 
 The fixed-trials path (:func:`repro.scenarios.compile.run_scenario_spec`)
 materializes every trial outcome and reduces at the end — the reference
 semantics golden tables pin. This module is the scalable counterpart:
 :func:`stream_scenario_spec` runs the sweep in rounds, folds each
 round's outcomes into online accumulators (:mod:`repro.analysis.stats`),
-and stops a point as soon as every metric named by the spec's
-:class:`~repro.scenarios.spec.PrecisionSpec` has a confidence interval
-narrower than its target — Wilson for rates, t-based for means. Easy
-points stop at ``min_trials``; hard points run until ``max_trials``;
-peak memory is ``O(chunk)`` throughout, so a million-trial point costs
-no more resident state than a thousand-trial one.
+and stops a run as soon as every metric named by the spec's
+:class:`~repro.scenarios.spec.PrecisionSpec` that the run carries has a
+confidence interval narrower than its target — Wilson for rates,
+t-based for means. Easy runs stop at ``min_trials``; hard runs go on to
+``max_trials`` (or the run's own smaller ``trials`` override); peak
+memory is ``O(chunk)`` throughout, so a million-trial point costs no
+more resident state than a thousand-trial one.
 
-Each round is one call of the compiler's sweep driver
-(:func:`repro.scenarios.compile._execute`) over the points still
-running, with the next chunk of seeds from each point's own
-prefix-stable :class:`~repro.sim.rng.SeedStream`. Chunks follow the
-streaming executor's schedule
-(:meth:`~repro.harness.executor.StreamingExecutor.chunk_sizes`):
+Both paths take their points from one source
+(:func:`repro.scenarios.compile.scenario_plan`), declarative sweeps and
+the paper experiments E1–E12 alike: the same trial closures, seeds,
+seed-stream labels and metric :class:`~repro.scenarios.compile.Column`
+tuples, so trial ``i`` of a streaming run is bit-identical to trial
+``i`` of a fixed run. Every run of every point gets its own
+:class:`PointAccumulator` and its own prefix-stable
+:class:`~repro.sim.rng.SeedStream`. Each round is one call of the
+compiler's sweep driver (:func:`repro.scenarios.compile._execute`) over
+the runs still going, with chunks following the streaming executor's
+schedule (:meth:`~repro.harness.executor.StreamingExecutor.chunk_sizes`):
 ``initial_chunk`` doubling per round up to ``chunk_size``. Under
-``jobs="xbatch"`` the driver locksteps compatible points of a round
-together; otherwise each point's chunk goes through the inner executor.
+``jobs="xbatch"`` the driver locksteps compatible runs of a round
+together; otherwise each run's chunk goes through the inner executor.
 
-Both paths share one lowering (:func:`repro.scenarios.compile.
-lower_points`): the same trial closures, seeds and seed-stream labels
-and the same metric :class:`~repro.scenarios.compile.Column` tuple, so
-trial ``i`` of a streaming run is bit-identical to trial ``i`` of a
-fixed run — only the aggregation differs. Rate, constant and
+At the end each point's reducer receives its runs' accumulated columns
+— the same input the fixed path hands it from
+:func:`~repro.scenarios.compile.fold_columns`. Rate, constant and
 first-outcome columns are exact; mean columns are exact within one
 chunk and agree up to floating-point rounding across chunks; median
 columns come from the P² sketch, exact below five values and without
 an error bound beyond that.
 
-Each streamed row carries, beyond the fixed path's columns: ``trials``
-(how many the point actually ran), ``converged`` (whether every target
-was met before ``max_trials``) and one ``ci_<metric>`` column per
-target (the achieved half-width) — the provenance campaign manifests
-record as achieved precision.
+Every row a point emits carries, beyond the fixed path's columns:
+``trials`` (the most trials any of the point's runs ran),
+``converged`` (whether every run met its targets) and one
+``ci_<metric>`` column per target (the widest achieved half-width among
+the point's runs that carry the metric, None when none does) — the
+provenance campaign manifests record as achieved precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import obs
 from repro.analysis.stats import (
@@ -57,11 +62,10 @@ from repro.model.errors import HarnessError
 from repro.scenarios.compile import (
     TARGETABLE_KINDS,
     Column,
-    LoweredPoint,
     RunContext,
     _execute,
-    _point_row,
-    lower_points,
+    scenario_plan,
+    scenario_table,
 )
 from repro.scenarios.spec import PrecisionSpec, ScenarioSpec
 from repro.sim.rng import RngHub
@@ -73,7 +77,7 @@ Jobs = "int | str | Executor | None"
 
 
 class PointAccumulator:
-    """Online fold of one sweep point's metric columns.
+    """Online fold of one run's metric columns.
 
     Folds the same :class:`~repro.scenarios.compile.Column` tuple the
     fixed path's :func:`~repro.scenarios.compile.fold_columns` reduces:
@@ -159,8 +163,8 @@ class PointAccumulator:
 
 
 #: First chunk size of the scenario streaming path; chunks double per
-#: round toward the cap while a point remains unconverged,
-#: so easy points stop within a few trials of their convergence point
+#: round toward the cap while a run remains unconverged,
+#: so easy runs stop within a few trials of their convergence point
 #: instead of overshooting by a whole fixed-size chunk.
 ADAPTIVE_START = 64
 
@@ -204,30 +208,38 @@ def _streaming_executor(
 
 
 def _targets_met(acc: PointAccumulator, precision: PrecisionSpec) -> bool:
+    """Whether every target the run carries is met (vacuous for none)."""
     return all(
         acc.halfwidth(metric, precision.confidence) <= target
         for metric, target in precision.targets.items()
+        if metric in acc.targetable
     )
 
 
-def _stopped(acc: PointAccumulator, precision: PrecisionSpec) -> bool:
-    """The stop rule: ``max_trials``, or targets met past ``min_trials``."""
-    return acc.count >= precision.max_trials or (
+def _stopped(
+    acc: PointAccumulator, precision: PrecisionSpec, ceiling: int
+) -> bool:
+    """The stop rule: the ceiling, or targets met past ``min_trials``."""
+    return acc.count >= ceiling or (
         acc.count >= precision.min_trials and _targets_met(acc, precision)
     )
 
 
-def _finish_row(
-    spec: ScenarioSpec,
-    precision: PrecisionSpec,
-    lowered: LoweredPoint,
-    acc: PointAccumulator,
+def _provenance(
+    accs: Sequence[PointAccumulator], precision: PrecisionSpec
 ) -> Row:
-    row = _point_row(spec, lowered.params, acc.metrics())
-    row["trials"] = acc.count
-    row["converged"] = _targets_met(acc, precision)
+    """A point's ``trials``, ``converged`` and ``ci_<metric>`` cells."""
+    row: Row = {
+        "trials": max(acc.count for acc in accs),
+        "converged": all(_targets_met(acc, precision) for acc in accs),
+    }
     for metric in precision.targets:
-        row[f"ci_{metric}"] = acc.halfwidth(metric, precision.confidence)
+        widths = [
+            acc.halfwidth(metric, precision.confidence)
+            for acc in accs
+            if metric in acc.targetable
+        ]
+        row[f"ci_{metric}"] = max(widths) if widths else None
     return row
 
 
@@ -237,27 +249,27 @@ def stream_scenario_spec(
     jobs: Jobs = None,
     precision: Optional[PrecisionSpec] = None,
 ) -> ExperimentTable:
-    """Execute a declarative scenario through the streaming path.
+    """Execute a scenario through the streaming path.
 
     Args:
-        spec: The scenario; must be declarative.
-        seed: Master seed — trial ``i`` of every point sees the same
-            seed the fixed path would derive.
+        spec: The scenario, declarative or plan-based.
+        seed: Master seed — trial ``i`` of every run sees the same seed
+            the fixed path would derive.
         jobs: Execution strategy for each chunk (default: vectorized
             batch); a ``"stream:N"`` value sets the chunk size too,
             and ``"xbatch"`` locksteps each round's chunks across
-            sweep points with matching cross-point signatures.
+            runs with matching cross-point signatures.
         precision: The stopping contract; defaults to the spec's own
             ``precision`` field.
 
     Returns:
-        The scenario's table, one row per sweep point, with ``trials``,
-        ``converged`` and ``ci_<metric>`` provenance columns appended.
+        The scenario's table with ``trials``, ``converged`` and
+        ``ci_<metric>`` provenance columns appended to every row.
 
     Raises:
-        HarnessError: when no precision contract is available, the spec
-            is plan-based, or a target names a metric that is not a
-            rate or mean column of its protocol.
+        HarnessError: when no precision contract is available, a target
+            is not a rate or mean column of any run, or a point carries
+            none of the targets.
     """
     if precision is not None:
         spec = replace(spec, precision=precision)
@@ -270,16 +282,20 @@ def stream_scenario_spec(
         )
     executor = _streaming_executor(jobs, precision)
     ctx = RunContext(trials=precision.max_trials, seed=seed)
-    lowered = list(lower_points(spec, ctx))
-    accs = [PointAccumulator(lp.columns) for lp in lowered]
-    runs = [lp.point.runs[0] for lp in lowered]
+    points = scenario_plan(spec, ctx)
+    runs = [run for point in points for run in point.runs]
+    accs = [PointAccumulator(run.columns) for run in runs]
+    ceilings = [
+        min(run.trials or precision.max_trials, precision.max_trials)
+        for run in runs
+    ]
     streams = [RngHub(run.seed).seed_stream(name=run.label) for run in runs]
-    active = list(range(len(lowered)))
+    active = list(range(len(runs)))
     for chunk in executor.chunk_sizes():
         if not active:
             break
         seed_lists = [
-            streams[i].take(min(chunk, precision.max_trials - accs[i].count))
+            streams[i].take(min(chunk, ceilings[i] - accs[i].count))
             for i in active
         ]
         obs.count("stream.chunks", len(active))
@@ -292,16 +308,16 @@ def stream_scenario_spec(
             )
         for i, outs in zip(active, outcomes):
             accs[i].consume(outs)
-        active = [i for i in active if not _stopped(accs[i], precision)]
-    rows = [
-        _finish_row(spec, precision, lp, acc)
-        for lp, acc in zip(lowered, accs)
-    ]
-    notes = spec.notes(rows, ctx) if callable(spec.notes) else spec.notes
-    return ExperimentTable(
-        experiment_id=spec.table_id,
-        title=spec.title,
-        rows=rows,
-        notes=notes,
-        columns=spec.columns,
-    )
+        active = [
+            i for i in active if not _stopped(accs[i], precision, ceilings[i])
+        ]
+    point_accs = iter(accs)
+    rows: List[Row] = []
+    for point in points:
+        by_key = {run.key: next(point_accs) for run in point.runs}
+        provenance = _provenance(list(by_key.values()), precision)
+        metrics = {key: acc.metrics() for key, acc in by_key.items()}
+        rows.extend(
+            {**row, **provenance} for row in point.reduce(ctx, metrics)
+        )
+    return scenario_table(spec, rows, ctx)

@@ -153,6 +153,44 @@ class TestCampaignSpec:
         assert gated.entry_ids() == ["naive", "cseek"]
         assert gated.gated()
 
+    def test_paper_suite_plans(self):
+        # Planning resolves every entry; paper specs have no declarative
+        # dict form, so the declared precision is read off the spec.
+        plans = orchestrate._plan_entries(get_campaign("paper-suite"), 0, 1)
+        assert [p.scenario for p in plans] == [f"E{i}" for i in range(1, 13)]
+        assert all(p.precision is None and p.trials == 1 for p in plans)
+
+    def test_paper_entry_records_its_precision(self, tmp_path):
+        spec = CampaignSpec(
+            name="paper-stream",
+            title="streamed paper entry",
+            entries=(
+                CampaignEntry(
+                    scenario="E7",
+                    id="e7",
+                    overrides={
+                        "precision.targets.mean_rounds": 1e6,
+                        "precision.min_trials": 2,
+                        "precision.max_trials": 4,
+                    },
+                ),
+            ),
+        )
+        result = run_campaign(spec, store=tmp_path, log=lambda s: None)
+        assert result.counts() == {"ran": 1, "cached": 0, "failed": 0}
+        manifest = json.loads(
+            (result.path / "entries" / "e7" / "manifest.json").read_text(
+                encoding="utf-8"
+            )
+        )
+        assert manifest["trials"] == 4
+        block = manifest["precision"]
+        assert block["declared"]["targets"] == {"mean_rounds": 1e6}
+        assert block["declared"]["max_trials"] == 4
+        # 20 points, each one first chunk capped at the ceiling.
+        assert block["achieved"]["total_trials"] == 20 * 4
+        assert block["achieved"]["all_converged"] is True
+
     def test_digest_changes_with_overrides(self):
         a = tiny_campaign()
         b = tiny_campaign(seed=1)

@@ -8,7 +8,6 @@ built on top of them.
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -407,10 +406,14 @@ class TestPrecisionSpec:
         assert spec.precision.targets == {"band_rate": 0.25}
         assert spec.precision.max_trials == 128
 
-    def test_plan_based_specs_reject_precision(self):
-        e1 = paper_spec("E1")
-        with pytest.raises(HarnessError):
-            replace(e1, precision=loose_precision())
+    def test_paper_precision_changes_digest(self):
+        e7 = paper_spec("E7")
+        a, b = (
+            apply_overrides(e7, {"precision.targets.mean_rounds": h})
+            for h in ("5", "6")
+        )
+        assert a.precision.targets == {"mean_rounds": 5}
+        assert len({spec_digest(s) for s in (e7, a, b)}) == 3
 
 
 class TestStreamScenario:
@@ -527,11 +530,77 @@ class TestStreamScenario:
         with pytest.raises(HarnessError, match="precision"):
             stream_scenario_spec(tiny_count_spec())
 
-    def test_rejects_plan_based_specs(self):
-        with pytest.raises(HarnessError):
-            stream_scenario_spec(
-                paper_spec("E1"), precision=loose_precision()
-            )
+    def test_target_no_run_carries_fails_before_any_trial(self):
+        with obs.capture() as tel:
+            with pytest.raises(HarnessError, match="'success'"):
+                stream_scenario_spec(
+                    paper_spec("E7"),
+                    precision=loose_precision(targets={"success": 0.1}),
+                )
+        assert tel.counters.get("executor.trials", 0) == 0
+
+    def test_point_carrying_no_target_fails_at_lowering(self):
+        # E8's star points run CSEEK, which has no mean_rounds column.
+        with obs.capture() as tel:
+            with pytest.raises(HarnessError, match=r"point 3 \(runs e8-star"):
+                stream_scenario_spec(
+                    paper_spec("E8"),
+                    precision=loose_precision(targets={"mean_rounds": 1.0}),
+                )
+        assert tel.counters.get("executor.trials", 0) == 0
+
+
+#: A target every point of each paper experiment carries (E8 and E10
+#: mix run shapes, so they need one target per shape).
+PAPER_TARGETS = {
+    "E1": {"band_rate": 1e-6},
+    "E3": {"final_fraction": 1e-6},
+    "E4": {"success": 1e-6},
+    "E5": {"valid_rate": 1e-6},
+    "E6": {"success": 1e-6},
+    "E7": {"mean_rounds": 1e-6},
+    "E8": {"mean_rounds": 1e-6, "mean_completion": 1e-6},
+    "E9": {"success": 1e-6},
+    "E10": {"low_overlap_found": 1e-6, "success": 1e-6},
+    "E11": {"setup": 1e-6},
+    "E12": {"success": 1e-6},
+}
+
+
+@pytest.mark.integration
+@pytest.mark.parametrize("experiment_id", sorted(PAPER_TARGETS))
+def test_paper_rows_stream_identically(experiment_id):
+    """One 3-trial chunk streams the fixed path's rows byte for byte.
+
+    Within one chunk a Welford mean is the array mean and P² is exact
+    below five values, so only the provenance columns differ. E2 is
+    left out for time; E6 and E9 cover its two-run point shape.
+    """
+    spec = paper_spec(experiment_id)
+    fixed = run_scenario_spec(spec, trials=3, seed=0, jobs="batch")
+    streamed = stream_scenario_spec(
+        spec,
+        seed=0,
+        precision=PrecisionSpec(
+            targets=PAPER_TARGETS[experiment_id], min_trials=3, max_trials=3
+        ),
+    )
+    provenance = {"trials", "converged"}
+    stripped = [
+        {
+            k: v
+            for k, v in row.items()
+            if k not in provenance and not k.startswith("ci_")
+        }
+        for row in streamed.rows
+    ]
+
+    def dump(rows):
+        return json.dumps(rows, default=lambda v: v.item())
+
+    assert dump(stripped) == dump(fixed.rows)
+    assert streamed.notes == fixed.notes
+    assert all(row["trials"] == 3 for row in streamed.rows)
 
 
 class TestRunScenarioRouting:

@@ -14,8 +14,7 @@ from repro.analysis import (
     nd_lower_bound,
     zeng_discovery_bound,
 )
-from repro.analysis.theory import knowledge_bounds
-from repro.model import ModelKnowledge, SpecError
+from repro.model import SpecError
 
 
 class TestUpperBounds:
@@ -93,21 +92,3 @@ class TestLowerBounds:
                     assert cseek_bound(c, k, k, delta) >= 0.9 * nd_lower_bound(
                         c, k, delta
                     )
-
-
-class TestKnowledgeBounds:
-    def test_all_keys_present(self):
-        kn = ModelKnowledge(
-            n=16, c=8, k=2, kmax=2, max_degree=4, diameter=3
-        )
-        bounds = knowledge_bounds(kn)
-        assert set(bounds) == {
-            "cseek",
-            "cgcast",
-            "naive_discovery",
-            "naive_broadcast",
-            "zeng_discovery",
-            "nd_lower",
-            "broadcast_lower",
-        }
-        assert all(v > 0 for v in bounds.values())
