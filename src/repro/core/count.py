@@ -179,10 +179,10 @@ def _estimate(
     rule is ``constants.count_rule``.
     """
     rounds, round_length = count_schedule(max_count, log_n, constants)
-    received = (heard_from >= 0).astype(np.int64)
-    round_receptions = received.reshape(
-        *received.shape[:-2], rounds, round_length, received.shape[-1]
-    ).sum(axis=-2)
+    received = (heard_from >= 0).reshape(
+        *heard_from.shape[:-2], rounds, round_length, heard_from.shape[-1]
+    )
+    round_receptions = np.add.reduce(received, axis=-2, dtype=np.int64)
     if constants.count_rule == "first_crossing":
         estimates = _estimate_first_crossing(
             round_receptions, round_length, constants.count_threshold()

@@ -177,27 +177,27 @@ def _streaming_executor(
     Non-streaming values become the per-chunk inner strategy
     (vectorized batch when unspecified). ``precision.chunk`` overrides
     the chunk size when set — it is the spec's declared memory cap.
-    Chunks start at :data:`ADAPTIVE_START` trials and grow
-    geometrically toward the cap, unless the caller hands a ready-made
-    :class:`StreamingExecutor` instance, whose settings (including a
-    fixed chunk schedule) are respected.
+    Chunks start at :data:`ADAPTIVE_START` trials, or at
+    ``precision.min_trials`` when that is smaller (so an easy point can
+    stop there), and grow geometrically toward the cap, unless the
+    caller hands a ready-made :class:`StreamingExecutor` instance,
+    whose settings (including a fixed chunk schedule) are respected.
     """
+    start = min(ADAPTIVE_START, precision.min_trials)
     if isinstance(jobs, StreamingExecutor):
         streaming = jobs
     elif jobs is None:
-        streaming = StreamingExecutor(initial_chunk=ADAPTIVE_START)
+        streaming = StreamingExecutor(initial_chunk=start)
     else:
         resolved = get_executor(jobs)
         if isinstance(resolved, StreamingExecutor):
             streaming = StreamingExecutor(
                 chunk_size=resolved.chunk_size,
                 inner=resolved.inner,
-                initial_chunk=resolved.initial_chunk or ADAPTIVE_START,
+                initial_chunk=resolved.initial_chunk or start,
             )
         else:
-            streaming = StreamingExecutor(
-                inner=resolved, initial_chunk=ADAPTIVE_START
-            )
+            streaming = StreamingExecutor(inner=resolved, initial_chunk=start)
     if precision.chunk and precision.chunk != streaming.chunk_size:
         streaming = StreamingExecutor(
             chunk_size=precision.chunk,

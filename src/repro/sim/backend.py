@@ -8,13 +8,17 @@ neighbor transmits). :class:`NumpyBackend` computes exactly that pair,
 so the surrounding protocol semantics (reception masks, listener
 gating, jamming) stay in :mod:`repro.sim.engine`.
 
-It casts the boolean reception mask to float64 once per distinct mask
-(cached — see :meth:`NumpyBackend.reach_floats`) so the products
-dispatch to BLAS GEMMs. All operands are 0/1 coins or ids ``< n``, so
-every product is an exact integer ``< n^2 << 2^53`` — float64
-round-trips are lossless and results are bit-identical regardless of
-blocking. :func:`active_backend` returns the one instance the engine
-calls.
+A shared ``(n, n)`` reception mask is resolved over its *live* part
+only: the nodes some broadcaster reaches (rows) and the broadcasters
+that reach someone (columns). Both weight matrices are stacked into
+one float64 operand per distinct mask (cached — see
+:meth:`NumpyBackend.live_operands`), so each block of coin rows costs
+one BLAS GEMM of width ``|cols|`` instead of two of width ``n``; a
+COUNT star (one listener, ``m`` broadcasters) multiplies ``(T, m)`` by
+``(m, 2)``. All operands are 0/1 coins or ids ``< n``, so every product
+is an exact integer ``< n^2 << 2^53`` — float64 round-trips are
+lossless and results are bit-identical regardless of blocking.
+:func:`active_backend` returns the one instance the engine calls.
 """
 
 from __future__ import annotations
@@ -28,16 +32,22 @@ from repro import obs
 __all__ = ["NumpyBackend", "active_backend"]
 
 
+def _live(mask: np.ndarray) -> slice | np.ndarray:
+    """Where ``mask`` holds: a full slice when it holds everywhere (no
+    gather copy), else the sorted indices."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
 class NumpyBackend:
     """Contender counts and id-sums as exact BLAS GEMMs.
 
-    Float64 casts of a reception mask are memoized per mask object
-    (:meth:`reach_floats`): protocol runs resolve many steps against
-    the same mask (COUNT trials re-use one star; cached reception
-    matrices in the engine return the same object), and re-materializing
-    ``reach.astype(np.float64)`` per call was measurable on small-n
-    sweeps. The cache keys on object identity and holds strong
-    references, so an entry can never alias a different (freed) array.
+    The live operands of a shared reception mask (:meth:`live_operands`)
+    are memoized per mask object: protocol runs resolve many steps
+    against the same mask (COUNT trials re-use one star; cached
+    reception matrices in the engine return the same object), and
+    rebuilding them per call was measurable on small-n sweeps. The
+    cache keys on object identity and holds strong references, so an
+    entry can never alias a different (freed) array.
     """
 
     name = "numpy"
@@ -52,35 +62,45 @@ class NumpyBackend:
     _GEMM_ROWS = 16384
 
     def __init__(self) -> None:
-        self._floats: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # (mask, rows, cols, W), most recently used first.
+        self._operands: List[
+            Tuple[np.ndarray, slice | np.ndarray, slice | np.ndarray, np.ndarray]
+        ] = []
 
-    def reach_floats(
+    def live_operands(
         self, reach: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(reach_f, reach_ids)`` float64 casts, memoized per mask."""
-        for i, (obj, reach_f, reach_ids) in enumerate(self._floats):
+    ) -> Tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray]:
+        """``(rows, cols, W)`` of an ``(n, n)`` mask, memoized per mask.
+
+        ``rows`` are the nodes any broadcaster reaches, ``cols`` the
+        broadcasters that reach anyone, and ``W`` the float64
+        ``(|cols|, 2 * |rows|)`` stack of count weights (left half) and
+        id weights (right half) of the live block.
+        """
+        for i, (obj, rows, cols, weights) in enumerate(self._operands):
             if obj is reach:
                 if i:  # move-to-front; the hot mask stays first
-                    self._floats.insert(0, self._floats.pop(i))
+                    self._operands.insert(0, self._operands.pop(i))
                 obs.count("backend.float_cache.hits")
-                return reach_f, reach_ids
+                return rows, cols, weights
         obs.count("backend.float_cache.misses")
-        reach_f = reach.astype(np.float64)
-        ids = np.arange(reach.shape[-1], dtype=np.float64)
-        reach_ids = reach_f * ids[None, :]
-        self._floats.insert(0, (reach, reach_f, reach_ids))
-        if len(self._floats) > self._CACHE_ENTRIES:
+        rows, cols = _live(reach.any(1)), _live(reach.any(0))
+        live_t = reach[rows][:, cols].T.astype(np.float64)
+        ids = np.arange(reach.shape[-1], dtype=np.float64)[cols]
+        weights = np.hstack([live_t, live_t * ids[:, None]])
+        self._operands.insert(0, (reach, rows, cols, weights))
+        if len(self._operands) > self._CACHE_ENTRIES:
             obs.count(
                 "backend.float_cache.evictions",
-                len(self._floats) - self._CACHE_ENTRIES,
+                len(self._operands) - self._CACHE_ENTRIES,
             )
-        del self._floats[self._CACHE_ENTRIES :]
-        return reach_f, reach_ids
+        del self._operands[self._CACHE_ENTRIES :]
+        return rows, cols, weights
 
     def step_products(
         self, reach: np.ndarray, coins: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Products for a shared ``(n, n)`` reception mask.
+    ) -> Tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+        """Products for a shared ``(n, n)`` reception mask's live rows.
 
         Args:
             reach: ``(n, n)`` boolean; ``[u, v]`` = v's broadcasts
@@ -89,19 +109,23 @@ class NumpyBackend:
                 trial/slot axis).
 
         Returns:
-            ``(contenders, idsum)`` int64 arrays of shape ``(M, n)``.
+            ``(rows, contenders, idsum)``: the live rows and int64
+            ``(M, |rows|)`` products for them. No broadcaster reaches
+            a node outside ``rows``, so such a node has 0 contenders.
         """
-        reach_f, reach_ids = self.reach_floats(reach)
-        m, n = coins.shape
-        contenders = np.empty((m, n), dtype=np.int64)
-        idsum = np.empty((m, n), dtype=np.int64)
-        rows = self._GEMM_ROWS
-        obs.count("backend.gemm_blocks", -(-m // rows))
-        for i in range(0, m, rows):
-            block = coins[i : i + rows].astype(np.float64)
-            contenders[i : i + rows] = (block @ reach_f.T).astype(np.int64)
-            idsum[i : i + rows] = (block @ reach_ids.T).astype(np.int64)
-        return contenders, idsum
+        rows, cols, weights = self.live_operands(reach)
+        m = coins.shape[0]
+        live = weights.shape[1] // 2
+        contenders = np.empty((m, live), dtype=np.int64)
+        idsum = np.empty((m, live), dtype=np.int64)
+        step = self._GEMM_ROWS
+        obs.count("backend.gemm_blocks", -(-m // step))
+        for i in range(0, m, step):
+            block = coins[i : i + step][:, cols].astype(np.float64)
+            products = block @ weights
+            contenders[i : i + step] = products[:, :live]
+            idsum[i : i + step] = products[:, live:]
+        return rows, contenders, idsum
 
     def batch_step_products(
         self, reach: np.ndarray, coins: np.ndarray

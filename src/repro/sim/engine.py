@@ -19,8 +19,9 @@ Three entry points:
     A *step*: a batch of ``T`` slots during which channels and roles are
     fixed and only the per-slot broadcast coins vary (this is exactly the
     structure of COUNT rounds and of CSEEK part-two back-off windows).
-    Resolved with two matrix products, which is what makes full protocol
-    executions tractable in pure Python.
+    Resolved with one matrix product over the reception mask's live
+    rows and columns, which is what makes full protocol executions
+    tractable in pure Python.
 :func:`resolve_step_batch`
     A *trial axis* on top of :func:`resolve_step`: ``B`` independent
     Monte Carlo trials of the same step, sharing one adjacency, resolved
@@ -39,7 +40,11 @@ networks ride one batched resolve, each against its own graph.
 The per-step arithmetic — the contender-count and id-sum products —
 runs as exact float64 BLAS GEMMs in
 :class:`repro.sim.backend.NumpyBackend`; every product is an exact
-integer, so blocking and batching never change results.
+integer, so blocking and batching never change results. A shared
+``(n, n)`` mask is resolved over its live part only (the nodes a
+broadcaster reaches, the broadcasters that reach someone): a COUNT
+star's one listener costs one output column, not ``n``, and every
+other node has no contender and hears nothing by definition.
 
 Identity convention: nodes are identified by their index ``0 .. n-1``;
 ``-1`` means "heard nothing" (silence or collision) in outputs and
@@ -191,12 +196,12 @@ def _reception_matrix(
 #: Memoized reception matrices: (adjacency, channels bytes, tx bytes,
 #: reach). Serial protocol loops (COUNT trials on one star, repeated
 #: fixed-channel steps) rebuild the identical mask every call; returning
-#: the *same object* also lets the GEMM reuse its float64
-#: casts. Adjacency matches by identity (entries hold strong
-#: references, so an id can never be reused while cached); channels and
-#: roles match by content, since callers often rebuild those small
-#: arrays. The sim layer never mutates an adjacency in place — the one
-#: assumption this cache leans on.
+#: the *same object* also lets the GEMM reuse its live operands.
+#: Adjacency matches by identity (entries hold strong references, so an
+#: id can never be reused while cached); channels and roles match by
+#: content, since callers often rebuild those small arrays. The sim
+#: layer never mutates an adjacency in place — the one assumption this
+#: cache leans on.
 _REACH_CACHE: List[Tuple[np.ndarray, bytes, bytes, np.ndarray]] = []
 _REACH_CACHE_ENTRIES = 8
 
@@ -223,6 +228,38 @@ def _cached_reception_matrix(
         )
     del _REACH_CACHE[_REACH_CACHE_ENTRIES:]
     return reach
+
+
+def _resolve_shared(
+    reach: np.ndarray,
+    channels: np.ndarray,
+    tx_role: np.ndarray,
+    coins: np.ndarray,
+    jam: np.ndarray | None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(heard_from, contenders)`` of ``(M, n)`` coins on one shared mask.
+
+    Only the mask's live rows — nodes some broadcaster reaches — are
+    resolved. contenders[t, u] = number of u's neighbors transmitting
+    on u's channel in slot t; idsum is the id-sum trick — when exactly
+    one neighbor transmits, the weighted sum of transmitting-neighbor
+    ids *is* the sender's id. Every other row has 0 contenders by
+    definition, so it hears nothing.
+    """
+    with obs.span("gemm"):
+        rows, contenders, idsum = active_backend().step_products(reach, coins)
+    listeners = (channels >= 0) & ~tx_role
+    receivable = listeners[rows] & (contenders == 1)
+    if jam is not None:
+        receivable &= ~jam[:, rows]
+    heard = np.where(receivable, idsum, np.int64(-1))
+    if isinstance(rows, slice):
+        return heard, contenders
+    full_heard = np.full(coins.shape, -1, dtype=np.int64)
+    full_heard[:, rows] = heard
+    full_contenders = np.zeros(coins.shape, dtype=np.int64)
+    full_contenders[:, rows] = contenders
+    return full_heard, full_contenders
 
 
 def resolve_slot(
@@ -293,19 +330,8 @@ def resolve_step(
             f"jam must have shape {coins.shape}, got {jam.shape}"
         )
     reach = _cached_reception_matrix(adjacency, channels, tx_role)
-    # contenders[t, u] = number of u's neighbors transmitting on u's
-    # channel in slot t; idsum is the id-sum trick — when exactly one
-    # neighbor transmits, the weighted sum of transmitting-neighbor ids
-    # *is* the sender's id. Both are exact integers < n^2, so the
-    # float64 GEMM computes them without rounding.
     obs.count("engine.resolve_step_calls")
-    with obs.span("gemm"):
-        contenders, idsum = active_backend().step_products(reach, coins)
-    listeners = (channels >= 0) & ~tx_role
-    receivable = listeners[None, :] & (contenders == 1)
-    if jam is not None:
-        receivable &= ~jam
-    heard = np.where(receivable, idsum, np.int64(-1))
+    heard, contenders = _resolve_shared(reach, channels, tx_role, coins, jam)
     return StepOutcome(heard_from=heard, contenders=contenders)
 
 
@@ -377,41 +403,43 @@ def resolve_step_batch(
             f"jam must have shape {coins.shape}, got {jam.shape}"
         )
     t_slots = coins.shape[1]
-    backend = active_backend()
     if channels.ndim == 1 and tx_role.ndim == 1 and adjacency.ndim == 2:
         # Homogeneous trials: one shared (n, n) reception mask; the
         # trial and slot axes flatten into one (B*T, n) product (the
         # GEMM blocks its rows to stay cache-resident).
         reach = _cached_reception_matrix(adjacency, channels, tx_role)
-        flat = coins.reshape(b * t_slots, n)
         obs.count("engine.resolve_step_batch_calls")
-        with obs.span("gemm"):
-            contenders, idsum = backend.step_products(reach, flat)
-        contenders = contenders.reshape(b, t_slots, n)
-        idsum = idsum.reshape(b, t_slots, n)
-        listeners = (channels >= 0) & ~tx_role
-        receivable = listeners[None, None, :] & (contenders == 1)
-    else:
-        channels2 = np.broadcast_to(np.atleast_2d(channels), (b, n))
-        tx_role2 = np.broadcast_to(np.atleast_2d(tx_role), (b, n))
-        adjacency3 = (
-            adjacency[None, :, :] if adjacency.ndim == 2 else adjacency
+        heard, contenders = _resolve_shared(
+            reach,
+            channels,
+            tx_role,
+            coins.reshape(b * t_slots, n),
+            None if jam is None else jam.reshape(b * t_slots, n),
         )
-        tuned = channels2 >= 0
-        # reach[b, u, v]: v's trial-b broadcasts reach u (against trial
-        # b's own adjacency when the stack is per-trial).
-        reach = (
-            (channels2[:, :, None] == channels2[:, None, :])
-            & adjacency3
-            & tuned[:, :, None]
-            & tuned[:, None, :]
-            & tx_role2[:, None, :]
+        return BatchStepOutcome(
+            heard_from=heard.reshape(b, t_slots, n),
+            contenders=contenders.reshape(b, t_slots, n),
         )
-        obs.count("engine.resolve_step_batch_calls")
-        with obs.span("gemm"):
-            contenders, idsum = backend.batch_step_products(reach, coins)
-        listeners = tuned & ~tx_role2
-        receivable = listeners[:, None, :] & (contenders == 1)
+    channels2 = np.broadcast_to(np.atleast_2d(channels), (b, n))
+    tx_role2 = np.broadcast_to(np.atleast_2d(tx_role), (b, n))
+    adjacency3 = adjacency[None, :, :] if adjacency.ndim == 2 else adjacency
+    tuned = channels2 >= 0
+    # reach[b, u, v]: v's trial-b broadcasts reach u (against trial
+    # b's own adjacency when the stack is per-trial).
+    reach = (
+        (channels2[:, :, None] == channels2[:, None, :])
+        & adjacency3
+        & tuned[:, :, None]
+        & tuned[:, None, :]
+        & tx_role2[:, None, :]
+    )
+    obs.count("engine.resolve_step_batch_calls")
+    with obs.span("gemm"):
+        contenders, idsum = active_backend().batch_step_products(
+            reach, coins
+        )
+    listeners = tuned & ~tx_role2
+    receivable = listeners[:, None, :] & (contenders == 1)
     if jam is not None:
         receivable = receivable & ~jam
     heard = np.where(receivable, idsum, np.int64(-1))

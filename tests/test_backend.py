@@ -2,9 +2,10 @@
 
 :class:`NumpyBackend` computes exact integer products (counts and
 id-sums) through float64 BLAS GEMMs, so it must match an int64 matmul
-bit for bit — across GEMM block boundaries, for per-trial mask stacks,
-and end to end through a scenario's rows. The float-cast and engine
-reception caches are pinned here too.
+bit for bit — on a shared mask's live rows (empty, one-row, sparse and
+dense masks), across GEMM block boundaries, for per-trial mask stacks,
+and end to end through the engine and a scenario's rows. The
+live-operand and engine reception caches are pinned here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 from repro import obs
 from repro.scenarios import run_scenario_spec
 from repro.sim.backend import NumpyBackend, active_backend
+from repro.sim.engine import _reception_matrix, resolve_step
 
 from tests.test_xbatch import tiny_cseek_sweep
 
@@ -26,6 +28,40 @@ def reference_products(reach, coins):
     return contenders, idsum
 
 
+def assert_live_products_match(backend, reach, coins):
+    """Live-row products equal the reference; dead rows have none."""
+    rows, contenders, idsum = backend.step_products(reach, coins)
+    ref_c, ref_i = reference_products(reach, coins)
+    n = reach.shape[0]
+    assert np.array_equal(np.arange(n)[rows], np.flatnonzero(reach.any(1)))
+    assert contenders.dtype == np.int64 and idsum.dtype == np.int64
+    assert np.array_equal(contenders, ref_c[:, rows])
+    assert np.array_equal(idsum, ref_i[:, rows])
+    dead = np.ones(n, dtype=bool)
+    dead[rows] = False
+    assert not ref_c[:, dead].any()
+    return rows
+
+
+def reference_step(adj, channels, tx_role, coins, jam=None):
+    """The dense engine semantics: full-width products, then gating."""
+    reach = _reception_matrix(adj, channels, tx_role)
+    contenders, idsum = reference_products(reach, coins)
+    receivable = ((channels >= 0) & ~tx_role) & (contenders == 1)
+    if jam is not None:
+        receivable &= ~jam
+    return np.where(receivable, idsum, -1), contenders
+
+
+def star(n):
+    """Node 0 listens to n - 1 broadcasting leaves: one live row."""
+    adj = np.zeros((n, n), dtype=bool)
+    adj[0, 1:] = adj[1:, 0] = True
+    tx_role = np.ones(n, dtype=bool)
+    tx_role[0] = False
+    return adj, np.zeros(n, dtype=np.int64), tx_role
+
+
 def test_active_backend_is_the_numpy_gemm():
     assert type(active_backend()) is NumpyBackend
     assert active_backend() is active_backend()
@@ -36,11 +72,7 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(5)
         reach = rng.random((7, 7)) < 0.4
         coins = rng.random((23, 7)) < 0.5
-        contenders, idsum = active_backend().step_products(reach, coins)
-        ref_c, ref_i = reference_products(reach, coins)
-        assert contenders.dtype == np.int64
-        assert np.array_equal(contenders, ref_c)
-        assert np.array_equal(idsum, ref_i)
+        assert_live_products_match(active_backend(), reach, coins)
 
     def test_step_products_across_gemm_blocks(self):
         rows = NumpyBackend._GEMM_ROWS
@@ -48,11 +80,41 @@ class TestBackendEquivalence:
         reach = rng.random((5, 5)) < 0.5
         coins = rng.random((2 * rows + 5, 5)) < 0.5
         with obs.capture() as tel:
-            contenders, idsum = NumpyBackend().step_products(reach, coins)
-        ref_c, ref_i = reference_products(reach, coins)
-        assert np.array_equal(contenders, ref_c)
-        assert np.array_equal(idsum, ref_i)
+            assert_live_products_match(NumpyBackend(), reach, coins)
         assert tel.counters["backend.gemm_blocks"] == 3
+
+    def test_star_across_gemm_blocks(self):
+        rows = NumpyBackend._GEMM_ROWS
+        adj, channels, tx_role = star(6)
+        reach = _reception_matrix(adj, channels, tx_role)
+        coins = np.random.default_rng(14).random((2 * rows + 5, 6)) < 0.5
+        with obs.capture() as tel:
+            live = assert_live_products_match(NumpyBackend(), reach, coins)
+        assert tel.counters["backend.gemm_blocks"] == 3
+        assert list(live) == [0]
+
+    def test_empty_mask_has_no_live_row(self):
+        reach = np.zeros((5, 5), dtype=bool)
+        coins = np.random.default_rng(15).random((9, 5)) < 0.5
+        live = assert_live_products_match(NumpyBackend(), reach, coins)
+        assert len(live) == 0
+
+    def test_dense_mask_takes_full_slices(self):
+        reach = np.ones((5, 5), dtype=bool)
+        coins = np.random.default_rng(16).random((9, 5)) < 0.5
+        backend = NumpyBackend()
+        rows, cols, weights = backend.live_operands(reach)
+        assert rows == slice(None) and cols == slice(None)
+        assert weights.shape == (5, 10)
+        assert assert_live_products_match(backend, reach, coins) == rows
+
+    def test_random_sparse_masks(self):
+        rng = np.random.default_rng(17)
+        backend = NumpyBackend()
+        for density in (0.02, 0.05, 0.1, 0.2):
+            reach = rng.random((12, 12)) < density
+            coins = rng.random((31, 12)) < 0.5
+            assert_live_products_match(backend, reach, coins)
 
     def test_batch_step_products_match_reference(self):
         rng = np.random.default_rng(6)
@@ -75,9 +137,9 @@ class TestNumpyFloatCache:
     def test_same_mask_object_hits_cache(self):
         backend = NumpyBackend()
         reach = np.random.default_rng(7).random((5, 5)) < 0.5
-        f1, i1 = backend.reach_floats(reach)
-        f2, i2 = backend.reach_floats(reach)
-        assert f1 is f2 and i1 is i2
+        first = backend.live_operands(reach)
+        second = backend.live_operands(reach)
+        assert all(a is b for a, b in zip(first, second))
 
     def test_cache_is_bounded(self):
         backend = NumpyBackend()
@@ -86,25 +148,25 @@ class TestNumpyFloatCache:
             for i in range(NumpyBackend._CACHE_ENTRIES + 3)
         ]
         for mask in masks:
-            backend.reach_floats(mask)
-        assert len(backend._floats) == NumpyBackend._CACHE_ENTRIES
+            backend.live_operands(mask)
+        assert len(backend._operands) == NumpyBackend._CACHE_ENTRIES
 
     def test_distinct_objects_get_distinct_casts(self):
         backend = NumpyBackend()
         reach = np.random.default_rng(8).random((5, 5)) < 0.5
         copy = reach.copy()
-        f1, _ = backend.reach_floats(reach)
-        f2, _ = backend.reach_floats(copy)
-        assert f1 is not f2
-        assert np.array_equal(f1, f2)
+        _, _, w1 = backend.live_operands(reach)
+        _, _, w2 = backend.live_operands(copy)
+        assert w1 is not w2
+        assert np.array_equal(w1, w2)
 
     def test_hit_miss_counters(self):
         backend = NumpyBackend()
         reach = np.random.default_rng(11).random((5, 5)) < 0.5
         with obs.capture() as tel:
-            backend.reach_floats(reach)
-            backend.reach_floats(reach)
-            backend.reach_floats(reach)
+            backend.live_operands(reach)
+            backend.live_operands(reach)
+            backend.live_operands(reach)
         assert tel.counters["backend.float_cache.misses"] == 1
         assert tel.counters["backend.float_cache.hits"] == 2
         assert "backend.float_cache.evictions" not in tel.counters
@@ -118,9 +180,41 @@ class TestNumpyFloatCache:
         ]
         with obs.capture() as tel:
             for mask in masks:
-                backend.reach_floats(mask)
+                backend.live_operands(mask)
         assert tel.counters["backend.float_cache.misses"] == len(masks)
         assert tel.counters["backend.float_cache.evictions"] == extra
+
+
+class TestSharedMaskEngine:
+    """Engine outputs on one shared mask, live rows scattered back."""
+
+    def cases(self):
+        rng = np.random.default_rng(18)
+        n = 7
+        empty = np.zeros((n, n), dtype=bool)
+        yield empty, rng.integers(0, 2, n), rng.random(n) < 0.5
+        yield star(n)
+        # Node 0 listens to all others: every row live, full-slice path.
+        complete = ~np.eye(n, dtype=bool)
+        yield complete, np.zeros(n, dtype=np.int64), np.arange(n) > 0
+        for density in (0.1, 0.3, 0.8):
+            adj = np.triu(rng.random((n, n)) < density, 1)
+            yield adj | adj.T, rng.integers(-1, 2, n), rng.random(n) < 0.5
+
+    def test_step_matches_dense_reference(self):
+        rng = np.random.default_rng(19)
+        for adj, channels, tx_role in self.cases():
+            coins = rng.random((11, adj.shape[0])) < 0.6
+            jam = rng.random(coins.shape) < 0.3
+            for j in (None, jam):
+                out = resolve_step(adj, channels, tx_role, coins, jam=j)
+                heard, contenders = reference_step(
+                    adj, channels, tx_role, coins, j
+                )
+                assert np.array_equal(out.heard_from, heard)
+                assert np.array_equal(out.contenders, contenders)
+                assert out.heard_from.dtype == np.int64
+                assert out.contenders.dtype == np.int64
 
 
 class TestEngineReachCache:

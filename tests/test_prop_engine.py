@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import resolve_slot, resolve_step
-from repro.sim.engine import resolve_varying
+from repro.sim.engine import resolve_step_batch, resolve_varying
 
 
 def reference_slot(adj, channels, tx):
@@ -72,12 +72,25 @@ def step_case(draw):
     n = draw(st.integers(min_value=2, max_value=8))
     slots = draw(st.integers(min_value=1, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=2**20))
+    # Besides random graphs, draw masks with no live row (no edges),
+    # with exactly one (node 0 listening to broadcasting leaves) and
+    # with every row live (node 0 listening on a complete graph).
+    shape = draw(st.sampled_from(["random", "empty", "star", "complete"]))
     rng = np.random.default_rng(seed)
     adj = rng.random((n, n)) < 0.5
     adj = np.triu(adj, 1)
     adj = adj | adj.T
     channels = rng.integers(-1, 3, size=n)
     tx_role = rng.random(n) < 0.5
+    if shape == "empty":
+        adj[:] = False
+    elif shape in ("star", "complete"):
+        adj[:] = shape == "complete"
+        adj[0, 1:] = adj[1:, 0] = True
+        np.fill_diagonal(adj, False)
+        channels[:] = 0
+        tx_role[:] = True
+        tx_role[0] = False
     coins = rng.random((slots, n)) < 0.6
     return adj, channels, tx_role, coins
 
@@ -95,6 +108,19 @@ class TestStepSemantics:
             # not listen mid-step; mask them out of the reference.
             expected[tx_role] = -1
             assert np.array_equal(out.heard_from[t], expected)
+
+    @given(step_case(), st.integers(min_value=1, max_value=4))
+    @settings(max_examples=60, deadline=None)
+    def test_jammed_batch_equals_per_trial_steps(self, case, trials):
+        adj, channels, tx_role, coins = case
+        rng = np.random.default_rng(coins.size + trials)
+        batch_coins = rng.random((trials, *coins.shape)) < 0.6
+        jam = rng.random(batch_coins.shape) < 0.3
+        out = resolve_step_batch(adj, channels, tx_role, batch_coins, jam=jam)
+        for b in range(trials):
+            step = resolve_step(adj, channels, tx_role, batch_coins[b], jam[b])
+            assert np.array_equal(out.heard_from[b], step.heard_from)
+            assert np.array_equal(out.contenders[b], step.contenders)
 
 
 @st.composite

@@ -16,7 +16,6 @@ from repro import obs
 from repro.analysis import (
     P2Quantile,
     StreamingMoments,
-    StreamingRate,
     StreamingSummary,
     mean_halfwidth,
     normal_quantile,
@@ -425,6 +424,18 @@ class TestStreamScenario:
             assert row["trials"] == 8
             assert row["converged"] is True
             assert row["ci_band_rate"] <= 0.5
+
+    def test_default_chunks_start_at_small_min_trials(self):
+        # No chunk cap: the first round must not overshoot a
+        # min_trials below the adaptive probe size.
+        table = stream_scenario_spec(
+            tiny_count_spec(
+                precision=loose_precision(chunk=0, max_trials=512)
+            )
+        )
+        for row in table.rows:
+            assert row["trials"] == 8
+            assert row["converged"] is True
 
     def test_min_trials_outlasts_small_chunks(self):
         # Targets met after the first 4-trial chunk; the point still
