@@ -32,12 +32,6 @@ from repro import obs
 __all__ = ["NumpyBackend", "active_backend"]
 
 
-def _live(mask: np.ndarray) -> slice | np.ndarray:
-    """Where ``mask`` holds: a full slice when it holds everywhere (no
-    gather copy), else the sorted indices."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
-
-
 class NumpyBackend:
     """Contender counts and id-sums as exact BLAS GEMMs.
 
@@ -64,18 +58,19 @@ class NumpyBackend:
     def __init__(self) -> None:
         # (mask, rows, cols, W), most recently used first.
         self._operands: List[
-            Tuple[np.ndarray, slice | np.ndarray, slice | np.ndarray, np.ndarray]
+            Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
 
     def live_operands(
         self, reach: np.ndarray
-    ) -> Tuple[slice | np.ndarray, slice | np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, W)`` of an ``(n, n)`` mask, memoized per mask.
 
-        ``rows`` are the nodes any broadcaster reaches, ``cols`` the
-        broadcasters that reach anyone, and ``W`` the float64
-        ``(|cols|, 2 * |rows|)`` stack of count weights (left half) and
-        id weights (right half) of the live block.
+        ``rows`` are the sorted indices of the nodes any broadcaster
+        reaches, ``cols`` those of the broadcasters that reach anyone,
+        and ``W`` the float64 ``(|cols|, 2 * |rows|)`` stack of count
+        weights (left half) and id weights (right half) of the live
+        block.
         """
         for i, (obj, rows, cols, weights) in enumerate(self._operands):
             if obj is reach:
@@ -84,8 +79,8 @@ class NumpyBackend:
                 obs.count("backend.float_cache.hits")
                 return rows, cols, weights
         obs.count("backend.float_cache.misses")
-        rows, cols = _live(reach.any(1)), _live(reach.any(0))
-        live_t = reach[rows][:, cols].T.astype(np.float64)
+        rows, cols = np.flatnonzero(reach.any(1)), np.flatnonzero(reach.any(0))
+        live_t = reach[np.ix_(rows, cols)].T.astype(np.float64)
         ids = np.arange(reach.shape[-1], dtype=np.float64)[cols]
         weights = np.hstack([live_t, live_t * ids[:, None]])
         self._operands.insert(0, (reach, rows, cols, weights))
@@ -99,7 +94,7 @@ class NumpyBackend:
 
     def step_products(
         self, reach: np.ndarray, coins: np.ndarray
-    ) -> Tuple[slice | np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Products for a shared ``(n, n)`` reception mask's live rows.
 
         Args:

@@ -253,8 +253,6 @@ def _resolve_shared(
     if jam is not None:
         receivable &= ~jam[:, rows]
     heard = np.where(receivable, idsum, np.int64(-1))
-    if isinstance(rows, slice):
-        return heard, contenders
     full_heard = np.full(coins.shape, -1, dtype=np.int64)
     full_heard[:, rows] = heard
     full_contenders = np.zeros(coins.shape, dtype=np.int64)

@@ -99,14 +99,21 @@ class TestBackendEquivalence:
         live = assert_live_products_match(NumpyBackend(), reach, coins)
         assert len(live) == 0
 
-    def test_dense_mask_takes_full_slices(self):
-        reach = np.ones((5, 5), dtype=bool)
-        coins = np.random.default_rng(16).random((9, 5)) < 0.5
+    def test_complete_graph_has_every_row_live(self):
+        # The engine's mask of a complete graph on one channel: every
+        # node is reached, and only the broadcasters are columns.
+        n = 5
+        tx_role = np.arange(n) % 2 == 1
+        reach = _reception_matrix(
+            ~np.eye(n, dtype=bool), np.zeros(n, dtype=np.int64), tx_role
+        )
+        coins = np.random.default_rng(16).random((9, n)) < 0.5
         backend = NumpyBackend()
         rows, cols, weights = backend.live_operands(reach)
-        assert rows == slice(None) and cols == slice(None)
-        assert weights.shape == (5, 10)
-        assert assert_live_products_match(backend, reach, coins) == rows
+        assert list(rows) == list(range(n))
+        assert list(cols) == [1, 3]
+        assert weights.shape == (2, 2 * n)
+        assert_live_products_match(backend, reach, coins)
 
     def test_random_sparse_masks(self):
         rng = np.random.default_rng(17)
@@ -194,7 +201,7 @@ class TestSharedMaskEngine:
         empty = np.zeros((n, n), dtype=bool)
         yield empty, rng.integers(0, 2, n), rng.random(n) < 0.5
         yield star(n)
-        # Node 0 listens to all others: every row live, full-slice path.
+        # Node 0 listens to all others; every row is live.
         complete = ~np.eye(n, dtype=bool)
         yield complete, np.zeros(n, dtype=np.int64), np.arange(n) > 0
         for density in (0.1, 0.3, 0.8):
